@@ -51,10 +51,11 @@ bench-quick:
 	$(GO) test -run '^$$' -bench 'PSI|PIQL|Fig1dInference' -benchtime 1x .
 
 # The amortization benchmarks: group-committed WAL appends vs inline
-# fsync, batched vs per-item PSI kernels, and the pooled record encoder.
+# fsync, the pooled record encoder, and the chunked PSI kernels (warm
+# and cold blinds, exponentiation).
 bench-batch:
 	$(GO) test -run '^$$' -bench 'WALAppendAlways|AppendRecord' -benchmem ./internal/durable/
-	$(GO) test -run '^$$' -bench 'BenchmarkBlind|ExponentiateBatch' -benchmem ./internal/psi/
+	$(GO) test -run '^$$' -bench 'BenchmarkBlind|BenchmarkExponentiate' -benchmem ./internal/psi/
 
 # The PSI suite comparison: cold-start blinding across suites (the
 # number the EC default is justified by), the allocation-sensitive

@@ -158,11 +158,11 @@ func main() {
 			return experiments.E22ReplicationFailover(total)
 		})},
 		{"E23", wrap(func() (*experiments.Table, error) {
-			appendsPer, bursts, burstSize, psiItems := 40, 6, 16, 2048
+			appendsPer, bursts, burstSize := 40, 6, 16
 			if *quick {
-				appendsPer, bursts, burstSize, psiItems = 10, 3, 8, 512
+				appendsPer, bursts, burstSize = 10, 3, 8
 			}
-			return experiments.E23Amortization(appendsPer, bursts, burstSize, psiItems)
+			return experiments.E23Amortization(appendsPer, bursts, burstSize)
 		})},
 		{"E24", wrap(func() (*experiments.Table, error) {
 			// Quick mode trims queries, not clients: fewer clients

@@ -2,7 +2,7 @@
 // It hosts a demo clinical dataset (or the Figure 1 compliance table, or
 // an outbreak surveillance stream), loads its privacy policy from an XML
 // file or uses a conservative default, and serves the source protocol:
-// /summary, /profiles, /query, /psi/*, /linkage/records.
+// /summary, /profiles, /query, /psi/*.
 //
 // Usage:
 //

@@ -1,16 +1,14 @@
 // Package accesscontrol implements the classical security layer the paper
 // positions privacy *beyond* (Section 2, "Secured Databases"): role-based
-// access control with a role hierarchy, and multi-level security with
-// no-read-up / no-write-down rules. The query rewriter consults this layer
-// first — "produces a query that will only retrieve the information that
-// can be accessed by the requester" — and the privacy machinery then
-// handles what access control cannot: secondary analysis by authorized
-// users.
+// access control, and multi-level security with no-read-up /
+// no-write-down rules. The query rewriter consults this layer first —
+// "produces a query that will only retrieve the information that can be
+// accessed by the requester" — and the privacy machinery then handles
+// what access control cannot: secondary analysis by authorized users.
 package accesscontrol
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"privateiye/internal/xmltree"
@@ -44,12 +42,10 @@ type Permission struct {
 	pattern *xmltree.PathPattern
 }
 
-// RBAC is a role-based access control store: a role hierarchy (senior
-// roles inherit the permissions of junior roles), role-permission grants,
+// RBAC is a role-based access control store: role-permission grants
 // and subject-role assignments.
 type RBAC struct {
 	mu       sync.RWMutex
-	juniors  map[Role][]Role // role -> directly inherited (junior) roles
 	grants   map[Role][]Permission
 	assigned map[string][]Role // subject -> roles
 }
@@ -57,49 +53,9 @@ type RBAC struct {
 // NewRBAC returns an empty store.
 func NewRBAC() *RBAC {
 	return &RBAC{
-		juniors:  map[Role][]Role{},
 		grants:   map[Role][]Permission{},
 		assigned: map[string][]Role{},
 	}
-}
-
-// AddInheritance makes senior inherit all permissions of junior. Cycles
-// are rejected.
-func (r *RBAC) AddInheritance(senior, junior Role) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if senior == junior {
-		return fmt.Errorf("accesscontrol: role %q cannot inherit itself", senior)
-	}
-	// Reject if senior is already reachable from junior.
-	if r.reachableLocked(junior, senior) {
-		return fmt.Errorf("accesscontrol: inheritance %q -> %q would create a cycle", senior, junior)
-	}
-	r.juniors[senior] = append(r.juniors[senior], junior)
-	return nil
-}
-
-// reachableLocked reports whether target is reachable from start through
-// the inheritance graph. Caller holds the lock.
-func (r *RBAC) reachableLocked(start, target Role) bool {
-	if start == target {
-		return true
-	}
-	seen := map[Role]bool{}
-	stack := []Role{start}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == target {
-			return true
-		}
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		stack = append(stack, r.juniors[n]...)
-	}
-	return false
 }
 
 // Grant gives a role a permission.
@@ -121,43 +77,13 @@ func (r *RBAC) Assign(subject string, roles ...Role) {
 	r.assigned[subject] = append(r.assigned[subject], roles...)
 }
 
-// RolesOf returns the subject's directly assigned roles, sorted.
-func (r *RBAC) RolesOf(subject string) []Role {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := append([]Role(nil), r.assigned[subject]...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// effectiveRoles returns the subject's roles plus everything they inherit.
-func (r *RBAC) effectiveRoles(subject string) []Role {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	seen := map[Role]bool{}
-	var stack []Role
-	stack = append(stack, r.assigned[subject]...)
-	var out []Role
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		out = append(out, n)
-		stack = append(stack, r.juniors[n]...)
-	}
-	return out
-}
-
 // Can reports whether the subject may perform the action on the item path
-// through any effective role.
+// through any assigned role.
 func (r *RBAC) Can(subject string, action Action, itemPath string) bool {
-	for _, role := range r.effectiveRoles(subject) {
-		r.mu.RLock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, role := range r.assigned[subject] {
 		perms := r.grants[role]
-		r.mu.RUnlock()
 		for i := range perms {
 			if perms[i].Action == action && perms[i].pattern.Matches(itemPath) {
 				return true

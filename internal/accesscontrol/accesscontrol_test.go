@@ -36,64 +36,10 @@ func TestRBACBasic(t *testing.T) {
 	}
 }
 
-func TestRBACHierarchy(t *testing.T) {
-	r := NewRBAC()
-	if err := r.Grant("staff", Read, "//roster"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Grant("nurse", Read, "//patient/name"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.AddInheritance("nurse", "staff"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.AddInheritance("physician", "nurse"); err != nil {
-		t.Fatal(err)
-	}
-	r.Assign("bob", "physician")
-	// physician -> nurse -> staff: transitive inheritance.
-	if !r.Can("bob", Read, "/hospital/roster") {
-		t.Error("physician should inherit staff permission transitively")
-	}
-	if !r.Can("bob", Read, "/hospital/patient/name") {
-		t.Error("physician should inherit nurse permission")
-	}
-	// Junior does not gain senior's permissions.
-	r.Assign("alice", "staff")
-	if r.Can("alice", Read, "/hospital/patient/name") {
-		t.Error("staff must not inherit upward")
-	}
-}
-
-func TestRBACCycleRejected(t *testing.T) {
-	r := NewRBAC()
-	if err := r.AddInheritance("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.AddInheritance("b", "c"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.AddInheritance("c", "a"); err == nil {
-		t.Error("cycle should be rejected")
-	}
-	if err := r.AddInheritance("a", "a"); err == nil {
-		t.Error("self-inheritance should be rejected")
-	}
-}
-
 func TestRBACBadPattern(t *testing.T) {
 	r := NewRBAC()
 	if err := r.Grant("x", Read, "//"); err == nil {
 		t.Error("bad pattern should fail")
-	}
-}
-
-func TestRolesOfSorted(t *testing.T) {
-	r := NewRBAC()
-	r.Assign("alice", "zeta", "alpha")
-	roles := r.RolesOf("alice")
-	if len(roles) != 2 || roles[0] != "alpha" {
-		t.Errorf("RolesOf = %v", roles)
 	}
 }
 

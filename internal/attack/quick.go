@@ -81,27 +81,3 @@ func (k *Knowledge) QuickBounds() ([][]nlp.Interval, error) {
 	}
 	return out, nil
 }
-
-// QuickMaxDisclosure is MaxDisclosure over QuickBounds: a cheap lower
-// bound on the true disclosure (looser bounds can only understate it, but
-// in practice the per-attribute constraints carry most of the narrowing).
-func (k *Knowledge) QuickMaxDisclosure() (float64, error) {
-	bounds, err := k.QuickBounds()
-	if err != nil {
-		return 0, err
-	}
-	prior := k.Hi - k.Lo
-	worst := 0.0
-	for h, row := range bounds {
-		if h == k.OwnIndex {
-			continue
-		}
-		for _, iv := range row {
-			d := 1 - iv.Width()/prior
-			if d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst, nil
-}

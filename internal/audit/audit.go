@@ -196,13 +196,6 @@ func (a *Auditor) restore(set []int) error {
 	return nil
 }
 
-// Refuse records a refusal for the stats without changing state.
-func (a *Auditor) Refuse() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.refused++
-}
-
 // Stats reports how many queries were granted and refused.
 func (a *Auditor) Stats() (granted, refused int) {
 	a.mu.Lock()

@@ -178,14 +178,6 @@ func TestNormalizeErrors(t *testing.T) {
 	}
 }
 
-func TestRefuseCounts(t *testing.T) {
-	a := mustAuditor(t, Config{Population: 10})
-	a.Refuse()
-	if _, refused := a.Stats(); refused != 1 {
-		t.Error("Refuse should count")
-	}
-}
-
 func TestLogPerRequesterIsolation(t *testing.T) {
 	l, err := NewLog(Config{Population: 20, MinSetSize: 2, MaxOverlap: 0})
 	if err != nil {

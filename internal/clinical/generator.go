@@ -2,11 +2,9 @@ package clinical
 
 import (
 	"fmt"
-	"strings"
 
 	"privateiye/internal/relational"
 	"privateiye/internal/stats"
-	"privateiye/internal/xmltree"
 )
 
 // Generator produces synthetic clinical workloads of arbitrary size with
@@ -196,82 +194,4 @@ func (g *Generator) Outbreak(name string, days int) (*relational.Table, error) {
 		}
 	}
 	return tab, nil
-}
-
-// HotRegionOf recomputes which region carries the outbreak in a generated
-// table: the region with the highest total respiratory case count.
-func HotRegionOf(tab *relational.Table) (string, error) {
-	q := &relational.Query{
-		From:       tab.Name,
-		Where:      relational.Cmp{Op: relational.Eq, L: relational.ColRef{Name: "syndrome"}, R: relational.Lit{V: relational.Str("respiratory")}},
-		GroupBy:    []string{"region"},
-		Aggregates: []relational.Aggregate{{Func: relational.Sum, Col: "cases", As: "total"}},
-	}
-	cat := relational.NewCatalog()
-	if err := cat.Add(tab); err != nil {
-		return "", err
-	}
-	res, err := q.Execute(cat)
-	if err != nil {
-		return "", err
-	}
-	best, bestTotal := "", -1.0
-	for _, row := range res.Rows {
-		if row[1].F > bestTotal {
-			best, bestTotal = row[0].S, row[1].F
-		}
-	}
-	if best == "" {
-		return "", fmt.Errorf("clinical: empty outbreak table")
-	}
-	return best, nil
-}
-
-// PatientToXML renders one patient row as the XML document an XML-native
-// source would store.
-func PatientToXML(s *relational.Schema, r relational.Row) *xmltree.Node {
-	p := xmltree.NewElem("patient")
-	for i, c := range s.Columns {
-		p.Append(xmltree.NewText(c.Name, r[i].String()))
-	}
-	return p
-}
-
-// Regions returns the region vocabulary used by Outbreak.
-func Regions() []string { return append([]string(nil), regions...) }
-
-// Diagnoses returns the diagnosis vocabulary used by Patients.
-func Diagnoses() []string { return append([]string(nil), diagnoses...) }
-
-// Syndromes returns the syndrome vocabulary used by Outbreak.
-func Syndromes() []string { return append([]string(nil), syndromes...) }
-
-// SplitOverlapping partitions patient rows into nSources overlapping
-// subsets: each row lands in one home source, and with probability overlap
-// it is duplicated into a second source — the dirty-duplicate situation
-// the Result Integrator must clean up without revealing record origins.
-func (g *Generator) SplitOverlapping(rows []relational.Row, nSources int, overlap float64) [][]relational.Row {
-	out := make([][]relational.Row, nSources)
-	for _, r := range rows {
-		home := g.rng.Intn(nSources)
-		out[home] = append(out[home], r)
-		if nSources > 1 && g.rng.Float64() < overlap {
-			other := g.rng.Intn(nSources - 1)
-			if other >= home {
-				other++
-			}
-			out[other] = append(out[other], r)
-		}
-	}
-	return out
-}
-
-// NameVariants returns how many distinct name strings occur in rows,
-// a helper for linkage experiments.
-func NameVariants(rows []relational.Row, nameIdx int) int {
-	set := map[string]bool{}
-	for _, r := range rows {
-		set[strings.ToLower(r[nameIdx].String())] = true
-	}
-	return len(set)
 }

@@ -7,9 +7,9 @@
 //
 // Cluster generation runs offline over a labelled query workload: feature
 // vectors come from internal/piql, labels (breach classes) from the
-// breach analyzer, and the clusters from k-means++ or single-linkage
-// agglomerative clustering. Each cluster carries the majority breach
-// class of its members, which keys into the preservation registry.
+// breach analyzer, and the clusters from k-means++. Each cluster
+// carries the majority breach class of its members, which keys into the
+// preservation registry.
 package cluster
 
 import (
@@ -169,89 +169,6 @@ func BuildKMeans(examples []Example, k int, seed uint64) (*KB, error) {
 	return assemble(examples, assign, centroids)
 }
 
-// BuildAgglomerative clusters by single-linkage agglomeration down to k
-// clusters — the alternative generation strategy for small workloads
-// where k-means' sensitivity to initialization matters.
-func BuildAgglomerative(examples []Example, k int) (*KB, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("cluster: k = %d", k)
-	}
-	n := len(examples)
-	if n < k {
-		return nil, fmt.Errorf("cluster: %d examples for k = %d", n, k)
-	}
-	vecs := make([][]float64, n)
-	for i, ex := range examples {
-		vecs[i] = ex.Query.ExtractFeatures().Vector()
-	}
-	// Union-find over examples.
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	clusters := n
-	for clusters > k {
-		// Find the closest pair in different components (O(n^2); training
-		// workloads are small).
-		bi, bj, bd := -1, -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if find(i) == find(j) {
-					continue
-				}
-				if d := distance(vecs[i], vecs[j]); d < bd {
-					bi, bj, bd = i, j, d
-				}
-			}
-		}
-		if bi < 0 {
-			break
-		}
-		parent[find(bi)] = find(bj)
-		clusters--
-	}
-	// Convert components to assignments.
-	compID := map[int]int{}
-	assign := make([]int, n)
-	for i := 0; i < n; i++ {
-		root := find(i)
-		id, ok := compID[root]
-		if !ok {
-			id = len(compID)
-			compID[root] = id
-		}
-		assign[i] = id
-	}
-	// Centroids per component.
-	kk := len(compID)
-	dim := len(vecs[0])
-	centroids := make([][]float64, kk)
-	counts := make([]int, kk)
-	for j := range centroids {
-		centroids[j] = make([]float64, dim)
-	}
-	for i, v := range vecs {
-		counts[assign[i]]++
-		for d := range v {
-			centroids[assign[i]][d] += v[d]
-		}
-	}
-	for j := range centroids {
-		for d := range centroids[j] {
-			centroids[j][d] /= float64(counts[j])
-		}
-	}
-	return assemble(examples, assign, centroids)
-}
-
 // assemble builds the KB from assignments, labelling clusters by majority
 // breach class; empty clusters are dropped.
 func assemble(examples []Example, assign []int, centroids [][]float64) (*KB, error) {
@@ -305,24 +222,4 @@ func (kb *KB) Map(q *piql.Query) (*Cluster, float64, error) {
 		}
 	}
 	return &kb.Clusters[best], bestD, nil
-}
-
-// RoutingAccuracy measures, over a labelled workload, how often Map sends
-// a query to a cluster whose breach label matches the query's true label —
-// the accuracy side of experiment E6.
-func (kb *KB) RoutingAccuracy(examples []Example) (float64, error) {
-	if len(examples) == 0 {
-		return 0, fmt.Errorf("cluster: no examples")
-	}
-	hit := 0
-	for _, ex := range examples {
-		c, _, err := kb.Map(ex.Query)
-		if err != nil {
-			return 0, err
-		}
-		if c.Breach == ex.Breach {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(examples)), nil
 }

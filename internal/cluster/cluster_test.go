@@ -52,6 +52,23 @@ func TestSyntheticWorkload(t *testing.T) {
 	}
 }
 
+// routingAccuracy is the share of examples Map sends to a cluster whose
+// breach label matches the example's own.
+func routingAccuracy(t *testing.T, kb *KB, examples []Example) float64 {
+	t.Helper()
+	hit := 0
+	for _, ex := range examples {
+		c, _, err := kb.Map(ex.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Breach == ex.Breach {
+			hit++
+		}
+	}
+	return float64(hit) / float64(len(examples))
+}
+
 func TestBuildKMeansAndMap(t *testing.T) {
 	train, err := SyntheticWorkload(210, 7)
 	if err != nil {
@@ -66,17 +83,12 @@ func TestBuildKMeansAndMap(t *testing.T) {
 	}
 	// Training accuracy must beat the majority-class baseline by a wide
 	// margin: the feature space separates these templates cleanly.
-	acc, err := kb.RoutingAccuracy(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.9 {
+	if acc := routingAccuracy(t, kb, train); acc < 0.9 {
 		t.Errorf("training routing accuracy = %v, want >= 0.9", acc)
 	}
 	// Held-out queries from the same distribution route correctly too.
 	test, _ := SyntheticWorkload(70, 999)
-	acc, _ = kb.RoutingAccuracy(test)
-	if acc < 0.85 {
+	if acc := routingAccuracy(t, kb, test); acc < 0.85 {
 		t.Errorf("held-out routing accuracy = %v, want >= 0.85", acc)
 	}
 }
@@ -87,33 +99,6 @@ func TestBuildKMeansErrors(t *testing.T) {
 		t.Error("k=0 should fail")
 	}
 	if _, err := BuildKMeans(train, 10, 1); err == nil {
-		t.Error("k>n should fail")
-	}
-}
-
-func TestBuildAgglomerative(t *testing.T) {
-	train, err := SyntheticWorkload(60, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := BuildAgglomerative(train, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kb.Clusters) != 6 {
-		t.Fatalf("clusters = %d, want 6", len(kb.Clusters))
-	}
-	acc, err := kb.RoutingAccuracy(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.85 {
-		t.Errorf("agglomerative accuracy = %v", acc)
-	}
-	if _, err := BuildAgglomerative(train, 0); err == nil {
-		t.Error("k=0 should fail")
-	}
-	if _, err := BuildAgglomerative(train[:2], 5); err == nil {
 		t.Error("k>n should fail")
 	}
 }
@@ -149,9 +134,6 @@ func TestMapEmptyKB(t *testing.T) {
 	kb := &KB{}
 	if _, _, err := kb.Map(piql.MustParse("FOR //x RETURN //y")); err == nil {
 		t.Error("empty KB should error")
-	}
-	if _, err := kb.RoutingAccuracy(nil); err == nil {
-		t.Error("no examples should error")
 	}
 }
 

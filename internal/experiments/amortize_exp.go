@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	crand "crypto/rand"
 	"fmt"
 	"math/rand"
 	"os"
@@ -25,20 +24,19 @@ import (
 // ("≥5x acked releases/s under fsync=always") is defined at 32 writers.
 const e23Writers = 32
 
-// E23Amortization measures the three cross-query batch paths together:
-// WAL group commit (many concurrent appends per fsync), in-flight query
-// coalescing (many identical concurrent queries per pipeline execution),
-// and batched PSI kernels (whole columns per dispatch). Each sweep keeps
-// the amortized and unamortized paths side by side, because the win is
-// the ratio, not the absolute number.
+// E23Amortization measures two cross-query batch paths together: WAL
+// group commit (many concurrent appends per fsync) and in-flight query
+// coalescing (many identical concurrent queries per pipeline execution).
+// Each sweep keeps the amortized and unamortized paths side by side,
+// because the win is the ratio, not the absolute number.
 //
 // The WAL sweep drives durable.Log.Append directly rather than going
 // through the mediator: the release ledger serializes its own appends
 // (a release is checked and recorded under the ledger lock), so only the
 // raw log exhibits the 32-way concurrency the target is defined at.
-func E23Amortization(appendsPerWriter, bursts, burstSize, psiItems int) (*Table, error) {
+func E23Amortization(appendsPerWriter, bursts, burstSize int) (*Table, error) {
 	t := &Table{
-		Title:  "E23: cross-query amortization — group commit, coalescing, batched PSI",
+		Title:  "E23: cross-query amortization — group commit, coalescing",
 		Header: []string{"scenario", "ops/s", "fsyncs", "amortization", "speedup"},
 	}
 
@@ -211,106 +209,10 @@ func E23Amortization(appendsPerWriter, bursts, burstSize, psiItems int) (*Table,
 			fmt.Sprintf("%.2fx", coalQPS/soloQPS),
 		})
 
-	// --- Batched PSI kernels: elements/s, scalar vs batch entry points --
-	g := psi.TestGroup()
-	items := make([]string, psiItems)
-	for i := range items {
-		items[i] = fmt.Sprintf("patient-%05d", i)
-	}
-	// Cold blinds: one modexp per item, so the chunked kernel amortizes
-	// only dispatch. Fresh parties per repetition keep the cache cold.
-	coldRate := func(batch bool, reps int) (float64, error) {
-		parties := make([]*psi.Party, reps)
-		for i := range parties {
-			p, err := psi.NewParty(psi.ModPSuite(g), crand.Reader)
-			if err != nil {
-				return 0, err
-			}
-			parties[i] = p
-		}
-		start := time.Now()
-		for _, p := range parties {
-			if batch {
-				p.BlindBatch(items)
-			} else {
-				p.Blind(items)
-			}
-		}
-		return float64(reps*psiItems) / time.Since(start).Seconds(), nil
-	}
-	coldScalar, err := coldRate(false, 8)
-	if err != nil {
-		return nil, err
-	}
-	coldBatch, err := coldRate(true, 8)
-	if err != nil {
-		return nil, err
-	}
-	// Warm blinds are pure precomputation-table lookups: here per-item
-	// dispatch and per-item RLocks are the entire cost being amortized.
-	warm, err := psi.NewParty(psi.ModPSuite(g), crand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	warm.Blind(items)
-	warmRate := func(batch bool, reps int) float64 {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if batch {
-				warm.BlindBatch(items)
-			} else {
-				warm.Blind(items)
-			}
-		}
-		return float64(reps*psiItems) / time.Since(start).Seconds()
-	}
-	warmScalar := warmRate(false, 50)
-	warmBatch := warmRate(true, 50)
-	// Exponentiation never caches (peer blinds are fresh each round), so
-	// this is the steady-state column-kernel rate.
-	expParty, err := psi.NewParty(psi.ModPSuite(g), crand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	elems := warm.Blind(items)
-	expRate := func(batch bool, reps int) (float64, error) {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			var err error
-			if batch {
-				_, err = expParty.ExponentiateBatch(elems)
-			} else {
-				_, err = expParty.Exponentiate(elems)
-			}
-			if err != nil {
-				return 0, err
-			}
-		}
-		return float64(reps*psiItems) / time.Since(start).Seconds(), nil
-	}
-	expScalar, err := expRate(false, 8)
-	if err != nil {
-		return nil, err
-	}
-	expBatch, err := expRate(true, 8)
-	if err != nil {
-		return nil, err
-	}
-	psiPair := func(name, note string, scalar, batch float64) {
-		t.Rows = append(t.Rows,
-			[]string{name + ", per-item", fmt.Sprintf("%.0f", scalar), "-", "-", "1.00x"},
-			[]string{name + ", batched", fmt.Sprintf("%.0f", batch), "-", note,
-				fmt.Sprintf("%.2fx", batch/scalar)})
-	}
-	psiPair(fmt.Sprintf("psi blind cold, %d items", psiItems), "chunked fan-out", coldScalar, coldBatch)
-	psiPair(fmt.Sprintf("psi blind warm, %d items", psiItems), "one RLock per chunk", warmScalar, warmBatch)
-	psiPair(fmt.Sprintf("psi exponentiate, %d items", psiItems), "chunked fan-out", expScalar, expBatch)
-
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("wal: %d writers x %d appends each; acceptance target is ≥5x acked appends/s with group commit", e23Writers, appendsPerWriter),
 		"a group-committed append is still acknowledged only after the fsync covering its batch returns (fail-closed unchanged)",
-		fmt.Sprintf("coalesce: zipfian(s=1.5) over %d query texts, one requester, 2ms simulated source round-trip; history stayed complete at %d entries (per-caller audit preserved)", len(queries), issued),
-		"psi: cold rounds are modexp-bound so chunking is neutral there; warm rounds are precomputation-table hits, where chunking amortizes per-item dispatch and locking")
+		fmt.Sprintf("coalesce: zipfian(s=1.5) over %d query texts, one requester, 2ms simulated source round-trip; history stayed complete at %d entries (per-caller audit preserved)", len(queries), issued))
 	return t, nil
 }
 

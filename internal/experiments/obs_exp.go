@@ -223,6 +223,7 @@ func measureGuardRounds(queries, rounds int) (map[string][]float64, error) {
 	if err := measure("fanout_query", func() (float64, error) { return fanoutQueryNs(sys, queries) }); err != nil {
 		return nil, err
 	}
+	// A fresh MODP party's cold round, ns per item.
 	if err := measure("psi_blind_item", func() (float64, error) {
 		g := psi.TestGroup()
 		p, err := psi.NewParty(psi.ModPSuite(g), rand.Reader)
@@ -239,7 +240,7 @@ func measureGuardRounds(queries, rounds int) (map[string][]float64, error) {
 	}); err != nil {
 		return nil, err
 	}
-	// The batched PSI kernel on its amortized path: warm precomputation-
+	// The PSI blind kernel on its amortized path: warm precomputation-
 	// table lookups, where chunked dispatch is the entire cost. One party
 	// is warmed once and shared across rounds — steady state is the path
 	// the endpoints run on every integration round.
@@ -256,7 +257,7 @@ func measureGuardRounds(queries, rounds int) (map[string][]float64, error) {
 		const reps = 50
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			batchParty.BlindBatch(batchItems)
+			batchParty.Blind(batchItems)
 		}
 		return float64(time.Since(start).Nanoseconds()) / float64(reps*len(batchItems)), nil
 	}); err != nil {
@@ -275,7 +276,7 @@ func measureGuardRounds(queries, rounds int) (map[string][]float64, error) {
 			items[i] = fmt.Sprintf("patient-%d", i)
 		}
 		start := time.Now()
-		p.BlindBatch(items)
+		p.Blind(items)
 		return float64(time.Since(start).Nanoseconds()) / float64(len(items)), nil
 	}); err != nil {
 		return nil, err

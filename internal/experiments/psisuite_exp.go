@@ -59,11 +59,11 @@ func E25PSISuites(sizes []int, modpCap int) (*Table, error) {
 				return nil, err
 			}
 			start := time.Now()
-			p.BlindBatch(sub)
+			p.Blind(sub)
 			cold := float64(time.Since(start).Nanoseconds()) / float64(m)
 			// Warm: same party, same column — precomputation-table hits.
 			start = time.Now()
-			p.BlindBatch(sub)
+			p.Blind(sub)
 			warm := float64(time.Since(start).Nanoseconds()) / float64(m)
 			coldNs[s.Name()] = cold
 

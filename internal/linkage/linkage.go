@@ -88,31 +88,6 @@ func Dice(a, b *Bitset) (float64, error) {
 	return 2 * float64(andCount(a, b)) / float64(ca+cb), nil
 }
 
-// Hex renders the bitset for wire transfer.
-func (b *Bitset) Hex() string {
-	var sb strings.Builder
-	for _, w := range b.bits {
-		fmt.Fprintf(&sb, "%016x", w)
-	}
-	return sb.String()
-}
-
-// BitsetFromHex parses Hex output for a bitset of m bits.
-func BitsetFromHex(s string, m int) (*Bitset, error) {
-	b := NewBitset(m)
-	if len(s) != len(b.bits)*16 {
-		return nil, fmt.Errorf("linkage: hex length %d for %d-bit set", len(s), m)
-	}
-	for i := range b.bits {
-		var w uint64
-		if _, err := fmt.Sscanf(s[i*16:(i+1)*16], "%016x", &w); err != nil {
-			return nil, fmt.Errorf("linkage: bad hex word %d: %w", i, err)
-		}
-		b.bits[i] = w
-	}
-	return b, nil
-}
-
 // Encoder builds Bloom-filter encodings of strings. All linking parties
 // must share the same parameters and Salt; the salt is the shared secret
 // that stops a dictionary attack by outsiders.

@@ -1,97 +1,13 @@
-// Package loss implements the Loss Computation module of Figure 2(a): the
-// "reliable metrics for quantifying privacy loss" Section 4 calls for.
-// The paper asks for more than boolean revealed/not-revealed metrics —
-// "probabilistic notions of conditional loss, such as decreasing the range
-// of values an item could have, or increasing the probability of accuracy
-// of an estimate", plus anonymity-based measures (k-anonymity) and the
-// R-U (risk-utility) confidentiality map of Duncan et al. [23]. All of
-// those are here, together with the information-loss side: how much
-// utility a preservation technique destroyed.
-//
-// Conventions: every loss is in [0, 1]; 0 means no loss. Privacy loss
-// measures what an adversary gained; information loss measures what the
-// legitimate requester lost.
+// Package loss implements the Loss Computation module of Figure 2(a):
+// the "reliable metrics for quantifying privacy loss" Section 4 calls
+// for. Two measures are integrated: the R-U (risk-utility)
+// confidentiality map of Duncan et al. [23], which positions candidate
+// releases by disclosure risk against utility, and Sweeney's precision
+// of a generalization, the information-loss side — how much utility a
+// preservation technique destroyed. Both are in [0, 1].
 package loss
 
-import (
-	"fmt"
-	"math"
-	"strconv"
-	"strings"
-
-	"privateiye/internal/piql"
-	"privateiye/internal/stats"
-)
-
-// Boolean is the trivial metric the paper wants to go beyond: 1 if the
-// item is revealed exactly, 0 if not.
-func Boolean(revealed bool) float64 {
-	if revealed {
-		return 1
-	}
-	return 0
-}
-
-// RangeNarrowing measures "decreasing the range of values an item could
-// have": the adversary's interval for the item shrank from priorWidth to
-// postWidth.
-func RangeNarrowing(priorWidth, postWidth float64) (float64, error) {
-	if priorWidth <= 0 {
-		return 0, fmt.Errorf("loss: prior width %v must be positive", priorWidth)
-	}
-	if postWidth < 0 {
-		return 0, fmt.Errorf("loss: negative post width %v", postWidth)
-	}
-	if postWidth >= priorWidth {
-		return 0, nil
-	}
-	return 1 - postWidth/priorWidth, nil
-}
-
-// EstimateAccuracy measures "increasing the probability of accuracy of an
-// estimate": the adversary's estimator standard deviation dropped from
-// sigmaPrior to sigmaPost.
-func EstimateAccuracy(sigmaPrior, sigmaPost float64) (float64, error) {
-	if sigmaPrior <= 0 {
-		return 0, fmt.Errorf("loss: prior sigma %v must be positive", sigmaPrior)
-	}
-	if sigmaPost < 0 {
-		return 0, fmt.Errorf("loss: negative post sigma %v", sigmaPost)
-	}
-	if sigmaPost >= sigmaPrior {
-		return 0, nil
-	}
-	return 1 - sigmaPost/sigmaPrior, nil
-}
-
-// EntropyReduction measures the adversary's uncertainty drop over a
-// discrete domain: (H_prior - H_post) / H_prior, with counts describing
-// the candidate distributions before and after the release.
-func EntropyReduction(priorCounts, postCounts []int) (float64, error) {
-	hp := stats.Entropy(priorCounts)
-	if hp == 0 {
-		return 0, fmt.Errorf("loss: prior entropy is zero (nothing to lose)")
-	}
-	ha := stats.Entropy(postCounts)
-	if ha >= hp {
-		return 0, nil
-	}
-	return (hp - ha) / hp, nil
-}
-
-// Anonymity converts an equivalence-class size k within a population of n
-// into a privacy-loss value: fully lost when k = 1 (unique), zero when the
-// class is the whole population. The log scale matches the intuition that
-// going from k=2 to k=1 is far worse than from k=100 to k=50.
-func Anonymity(k, n int) (float64, error) {
-	if k < 1 || n < 1 || k > n {
-		return 0, fmt.Errorf("loss: bad anonymity parameters k=%d n=%d", k, n)
-	}
-	if n == 1 {
-		return 1, nil
-	}
-	return 1 - math.Log(float64(k))/math.Log(float64(n)), nil
-}
+import "fmt"
 
 // RUPoint is one point on Duncan's R-U confidentiality map: disclosure
 // Risk against data Utility, both in [0,1].
@@ -140,23 +56,6 @@ func (m *RUMap) Frontier() []RUPoint {
 	return out
 }
 
-// Best picks the frontier point with maximum utility among those with
-// risk <= maxRisk, or false if none qualifies.
-func (m *RUMap) Best(maxRisk float64) (RUPoint, bool) {
-	var best RUPoint
-	found := false
-	for _, p := range m.Frontier() {
-		if p.Risk > maxRisk {
-			continue
-		}
-		if !found || p.Utility > best.Utility {
-			best = p
-			found = true
-		}
-	}
-	return best, found
-}
-
 // --- Information-loss metrics -------------------------------------------
 
 // Precision is Sweeney's Prec metric for a generalization solution:
@@ -177,109 +76,4 @@ func Precision(levels, depths []int) (float64, error) {
 		acc += float64(levels[i]) / float64(maxLevel)
 	}
 	return 1 - acc/float64(len(levels)), nil
-}
-
-// Discernibility is the discernibility metric of a partition into
-// equivalence classes: sum of squared class sizes, plus n per suppressed
-// row (a suppressed row is indistinguishable from the whole table). Lower
-// is better; the minimum for n rows is n (all classes singleton) and the
-// maximum n^2.
-func Discernibility(classSizes []int, suppressed, n int) (int, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("loss: table size %d", n)
-	}
-	total := suppressed * n
-	for _, c := range classSizes {
-		if c < 0 {
-			return 0, fmt.Errorf("loss: negative class size %d", c)
-		}
-		total += c * c
-	}
-	return total, nil
-}
-
-// CellDistortion compares a result before and after preservation: the
-// fraction of cells whose value changed (dropped columns count as changed;
-// dropped rows count all their cells).
-func CellDistortion(before, after *piql.Result) (float64, error) {
-	if len(before.Rows) == 0 {
-		return 0, nil
-	}
-	totalCells := len(before.Rows) * len(before.Columns)
-	if totalCells == 0 {
-		return 0, nil
-	}
-	afterCol := map[string]int{}
-	for i, c := range after.Columns {
-		afterCol[c] = i
-	}
-	changed := 0
-	for r, row := range before.Rows {
-		if r >= len(after.Rows) {
-			changed += len(before.Columns)
-			continue
-		}
-		for c, name := range before.Columns {
-			j, ok := afterCol[name]
-			if !ok {
-				changed++
-				continue
-			}
-			if after.Rows[r][j] != row[c] {
-				changed++
-			}
-		}
-	}
-	return float64(changed) / float64(totalCells), nil
-}
-
-// NumericDistortion measures the mean relative perturbation of a numeric
-// column between two same-shape results, ignoring rows where either side
-// fails to parse. The scale parameter normalizes (e.g. the domain width);
-// if zero, the mean absolute original value is used.
-func NumericDistortion(before, after *piql.Result, column string, scale float64) (float64, error) {
-	bi := indexOf(before.Columns, column)
-	ai := indexOf(after.Columns, column)
-	if bi < 0 || ai < 0 {
-		return 0, fmt.Errorf("loss: column %q missing", column)
-	}
-	n := len(before.Rows)
-	if len(after.Rows) < n {
-		n = len(after.Rows)
-	}
-	var diffs, mags []float64
-	for r := 0; r < n; r++ {
-		b, errB := strconv.ParseFloat(strings.TrimSpace(before.Rows[r][bi]), 64)
-		a, errA := strconv.ParseFloat(strings.TrimSpace(after.Rows[r][ai]), 64)
-		if errB != nil || errA != nil {
-			continue
-		}
-		diffs = append(diffs, math.Abs(a-b))
-		mags = append(mags, math.Abs(b))
-	}
-	if len(diffs) == 0 {
-		return 0, nil
-	}
-	md, _ := stats.Mean(diffs)
-	if scale <= 0 {
-		mm, _ := stats.Mean(mags)
-		if mm == 0 {
-			return 0, fmt.Errorf("loss: zero scale and zero-mean column %q", column)
-		}
-		scale = mm
-	}
-	v := md / scale
-	if v > 1 {
-		v = 1
-	}
-	return v, nil
-}
-
-func indexOf(ss []string, s string) int {
-	for i, v := range ss {
-		if v == s {
-			return i
-		}
-	}
-	return -1
 }

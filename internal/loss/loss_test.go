@@ -3,94 +3,7 @@ package loss
 import (
 	"math"
 	"testing"
-	"testing/quick"
-
-	"privateiye/internal/piql"
 )
-
-func TestBoolean(t *testing.T) {
-	if Boolean(true) != 1 || Boolean(false) != 0 {
-		t.Error("boolean loss")
-	}
-}
-
-func TestRangeNarrowing(t *testing.T) {
-	// Figure 1: HbA1c could be anywhere in [0,100] a priori; the attack
-	// pins HMO2 to [87.2, 88.5], width 1.3. Loss = 1 - 1.3/100 = 0.987.
-	got, err := RangeNarrowing(100, 1.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.987) > 1e-9 {
-		t.Errorf("narrowing = %v, want 0.987", got)
-	}
-	if v, _ := RangeNarrowing(100, 100); v != 0 {
-		t.Errorf("no narrowing should be 0, got %v", v)
-	}
-	if v, _ := RangeNarrowing(100, 150); v != 0 {
-		t.Errorf("widening clamps to 0, got %v", v)
-	}
-	if _, err := RangeNarrowing(0, 1); err == nil {
-		t.Error("zero prior should error")
-	}
-	if _, err := RangeNarrowing(10, -1); err == nil {
-		t.Error("negative post should error")
-	}
-}
-
-func TestEstimateAccuracy(t *testing.T) {
-	v, err := EstimateAccuracy(10, 1)
-	if err != nil || math.Abs(v-0.9) > 1e-12 {
-		t.Errorf("accuracy = %v, %v", v, err)
-	}
-	if v, _ := EstimateAccuracy(5, 7); v != 0 {
-		t.Error("worse estimate should be 0 loss")
-	}
-	if _, err := EstimateAccuracy(0, 1); err == nil {
-		t.Error("zero prior sigma should error")
-	}
-}
-
-func TestEntropyReduction(t *testing.T) {
-	// Uniform over 8 -> uniform over 2: H drops from 3 to 1 bits.
-	prior := []int{1, 1, 1, 1, 1, 1, 1, 1}
-	post := []int{1, 1, 0, 0, 0, 0, 0, 0}
-	v, err := EntropyReduction(prior, post)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-2.0/3.0) > 1e-12 {
-		t.Errorf("entropy reduction = %v, want 2/3", v)
-	}
-	if _, err := EntropyReduction([]int{5}, []int{1}); err == nil {
-		t.Error("zero prior entropy should error")
-	}
-	if v, _ := EntropyReduction(post, prior); v != 0 {
-		t.Error("entropy gain clamps to 0")
-	}
-}
-
-func TestAnonymity(t *testing.T) {
-	if v, _ := Anonymity(1, 1000); v != 1 {
-		t.Errorf("unique individual = %v, want 1", v)
-	}
-	if v, _ := Anonymity(1000, 1000); v != 0 {
-		t.Errorf("full crowd = %v, want 0", v)
-	}
-	v2, _ := Anonymity(2, 1000)
-	v100, _ := Anonymity(100, 1000)
-	if !(v2 > v100 && v2 < 1 && v100 > 0) {
-		t.Errorf("monotonicity: k=2 %v, k=100 %v", v2, v100)
-	}
-	for _, bad := range [][2]int{{0, 5}, {5, 0}, {6, 5}, {-1, 3}} {
-		if _, err := Anonymity(bad[0], bad[1]); err == nil {
-			t.Errorf("Anonymity(%d,%d) should error", bad[0], bad[1])
-		}
-	}
-	if v, err := Anonymity(1, 1); err != nil || v != 1 {
-		t.Errorf("population of one: %v %v", v, err)
-	}
-}
 
 func TestRUMapFrontier(t *testing.T) {
 	var m RUMap
@@ -116,13 +29,6 @@ func TestRUMapFrontier(t *testing.T) {
 	}
 	if names["noisy"] || names["useless"] {
 		t.Errorf("dominated points on frontier: %v", fr)
-	}
-	best, ok := m.Best(0.6)
-	if !ok || best.Name != "rounded" {
-		t.Errorf("Best(0.6) = %+v %v", best, ok)
-	}
-	if _, ok := m.Best(0.05); ok {
-		t.Error("no point should qualify at risk 0.05")
 	}
 	if err := m.Add(RUPoint{"bad", 2, 0}); err == nil {
 		t.Error("out-of-range point should fail")
@@ -154,99 +60,5 @@ func TestPrecision(t *testing.T) {
 		if _, err := Precision(bad.l, bad.d); err == nil {
 			t.Errorf("Precision(%v,%v) should error", bad.l, bad.d)
 		}
-	}
-}
-
-func TestDiscernibility(t *testing.T) {
-	// 10 rows: classes 4,4 and 2 suppressed -> 16+16+2*10 = 52.
-	v, err := Discernibility([]int{4, 4}, 2, 10)
-	if err != nil || v != 52 {
-		t.Errorf("discernibility = %v, %v", v, err)
-	}
-	if _, err := Discernibility([]int{-1}, 0, 10); err == nil {
-		t.Error("negative class should error")
-	}
-	if _, err := Discernibility(nil, 0, 0); err == nil {
-		t.Error("zero table should error")
-	}
-}
-
-func TestCellDistortion(t *testing.T) {
-	before := &piql.Result{
-		Columns: []string{"name", "age"},
-		Rows:    [][]string{{"Alice", "54"}, {"Bob", "45"}},
-	}
-	same, _ := CellDistortion(before, before)
-	if same != 0 {
-		t.Errorf("identity distortion = %v", same)
-	}
-	after := &piql.Result{
-		Columns: []string{"name", "age"},
-		Rows:    [][]string{{"*", "50-59"}, {"Bob", "45"}},
-	}
-	half, _ := CellDistortion(before, after)
-	if half != 0.5 {
-		t.Errorf("distortion = %v, want 0.5", half)
-	}
-	// Dropped column counts every cell of that column.
-	dropped := &piql.Result{Columns: []string{"age"}, Rows: [][]string{{"54"}, {"45"}}}
-	v, _ := CellDistortion(before, dropped)
-	if v != 0.5 {
-		t.Errorf("dropped column distortion = %v, want 0.5", v)
-	}
-	// Dropped rows count all their cells.
-	short := &piql.Result{Columns: []string{"name", "age"}, Rows: [][]string{{"Alice", "54"}}}
-	v, _ = CellDistortion(before, short)
-	if v != 0.5 {
-		t.Errorf("dropped row distortion = %v, want 0.5", v)
-	}
-	if v, _ := CellDistortion(&piql.Result{}, after); v != 0 {
-		t.Error("empty before should be 0")
-	}
-}
-
-func TestNumericDistortion(t *testing.T) {
-	before := &piql.Result{Columns: []string{"rate"}, Rows: [][]string{{"80"}, {"60"}}}
-	after := &piql.Result{Columns: []string{"rate"}, Rows: [][]string{{"82"}, {"58"}}}
-	// Mean |diff| = 2, scale 100 -> 0.02.
-	v, err := NumericDistortion(before, after, "rate", 100)
-	if err != nil || math.Abs(v-0.02) > 1e-12 {
-		t.Errorf("numeric distortion = %v, %v", v, err)
-	}
-	// Default scale: mean |before| = 70 -> 2/70.
-	v, _ = NumericDistortion(before, after, "rate", 0)
-	if math.Abs(v-2.0/70.0) > 1e-12 {
-		t.Errorf("auto-scale distortion = %v", v)
-	}
-	if _, err := NumericDistortion(before, after, "none", 1); err == nil {
-		t.Error("missing column should error")
-	}
-	// Non-numeric rows are skipped.
-	mixed := &piql.Result{Columns: []string{"rate"}, Rows: [][]string{{"x"}, {"60"}}}
-	v, err = NumericDistortion(mixed, after, "rate", 100)
-	if err != nil || math.Abs(v-0.02) > 1e-12 {
-		t.Errorf("mixed distortion = %v %v", v, err)
-	}
-}
-
-// Property: RangeNarrowing is monotone — a narrower post interval never
-// yields less loss.
-func TestRangeNarrowingMonotoneProperty(t *testing.T) {
-	f := func(a, b float64) bool {
-		pa, pb := math.Abs(a), math.Abs(b)
-		if math.IsNaN(pa) || math.IsNaN(pb) || math.IsInf(pa, 0) || math.IsInf(pb, 0) {
-			return true
-		}
-		lo, hi := math.Min(pa, pb), math.Max(pa, pb)
-		// Map to [0,100) monotonically.
-		l1, err1 := RangeNarrowing(100, 100*lo/(lo+1))
-		l2, err2 := RangeNarrowing(100, 100*hi/(hi+1))
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return l1 >= l2
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

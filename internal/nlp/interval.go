@@ -40,16 +40,3 @@ func CoordinateInterval(p *Problem, i int, opt Options) (Interval, error) {
 	}
 	return Interval{Lo: lo.X[i], Hi: hi.X[i]}, nil
 }
-
-// AllCoordinateIntervals computes CoordinateInterval for every dimension.
-func AllCoordinateIntervals(p *Problem, opt Options) ([]Interval, error) {
-	out := make([]Interval, p.Dim)
-	for i := 0; i < p.Dim; i++ {
-		iv, err := CoordinateInterval(p, i, opt)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = iv
-	}
-	return out, nil
-}

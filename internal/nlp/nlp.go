@@ -4,10 +4,10 @@
 // confidential test-compliance rates from published aggregates "using a
 // Non-Linear Programming technique". The paper names no solver; this
 // package provides one: an augmented-Lagrangian outer loop around a
-// projected-gradient inner minimizer with numerical gradients, plus a
-// Nelder-Mead simplex fallback and deterministic multi-start. The attack
-// engine (internal/attack) and the mediator's disclosure auditor both use
-// it to compute the min/max feasible value of each hidden quantity.
+// projected-gradient inner minimizer with numerical gradients, plus
+// deterministic multi-start. The attack engine (internal/attack) and the
+// mediator's disclosure auditor both use it to compute the min/max
+// feasible value of each hidden quantity.
 package nlp
 
 import (

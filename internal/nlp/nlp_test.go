@@ -165,9 +165,13 @@ func TestCoordinateIntervalLinearSystem(t *testing.T) {
 		},
 		Lower: lo, Upper: hi,
 	}
-	ivs, err := AllCoordinateIntervals(p, Options{Starts: 8, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	ivs := make([]Interval, p.Dim)
+	for i := range ivs {
+		iv, err := CoordinateInterval(p, i, Options{Starts: 8, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ivs[i] = iv
 	}
 	if math.Abs(ivs[0].Lo-6) > 0.01 || math.Abs(ivs[0].Hi-6) > 0.01 {
 		t.Errorf("x interval = %+v, want [6,6]", ivs[0])
@@ -198,40 +202,6 @@ func TestMinimizeBadInputs(t *testing.T) {
 	p := &Problem{Dim: 2, Objective: func(x []float64) float64 { return 0 }, Lower: lo, Upper: hi}
 	if _, err := Minimize(p, []float64{0}, Options{}); err == nil {
 		t.Error("wrong x0 length should error")
-	}
-}
-
-func TestNelderMeadRosenbrock(t *testing.T) {
-	rosen := func(x []float64) float64 {
-		a := 1 - x[0]
-		b := x[1] - x[0]*x[0]
-		return a*a + 100*b*b
-	}
-	lo, hi := box(2, -5, 5)
-	sol, err := NelderMead(rosen, []float64{-1.2, 1}, lo, hi, 5000, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sol.X[0]-1) > 5e-3 || math.Abs(sol.X[1]-1) > 5e-3 {
-		t.Errorf("NelderMead = %v, want (1,1)", sol.X)
-	}
-}
-
-func TestNelderMeadRespectsBox(t *testing.T) {
-	f := func(x []float64) float64 { return (x[0] + 10) * (x[0] + 10) }
-	lo, hi := box(1, 0, 5)
-	sol, err := NelderMead(f, []float64{3}, lo, hi, 1000, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.X[0] < 0 || math.Abs(sol.X[0]) > 1e-3 {
-		t.Errorf("x = %v, want 0", sol.X[0])
-	}
-}
-
-func TestNelderMeadEmptyInput(t *testing.T) {
-	if _, err := NelderMead(func(x []float64) float64 { return 0 }, nil, nil, nil, 10, 0); err == nil {
-		t.Error("empty start should error")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestConcurrentMetricsWritesDuringScrape(t *testing.T) {
@@ -111,8 +112,7 @@ func TestConcurrentTracesDuringRingReads(t *testing.T) {
 					spans.Add(1)
 					go func(s int) {
 						defer spans.Done()
-						done := trace.StartSpan("fanout", "src")
-						done(OutcomeAnswered)
+						trace.Record("fanout", "src", time.Now(), 0, OutcomeAnswered)
 					}(s)
 				}
 				spans.Wait()

@@ -268,46 +268,6 @@ func (q *Query) String() string {
 	return b.String()
 }
 
-// ReturnPaths lists the path patterns the query outputs (skipping
-// COUNT(*)).
-func (q *Query) ReturnPaths() []*xmltree.PathPattern {
-	var out []*xmltree.PathPattern
-	for _, ri := range q.Return {
-		if ri.Path != nil {
-			out = append(out, ri.Path)
-		}
-	}
-	return out
-}
-
-// WherePaths lists the path patterns referenced by the condition tree.
-func (q *Query) WherePaths() []*xmltree.PathPattern {
-	var out []*xmltree.PathPattern
-	var walk func(Cond)
-	walk = func(c Cond) {
-		switch v := c.(type) {
-		case *Comparison:
-			out = append(out, v.Path)
-		case *Contains:
-			out = append(out, v.Path)
-		case *Exists:
-			out = append(out, v.Path)
-		case *And:
-			walk(v.L)
-			walk(v.R)
-		case *Or:
-			walk(v.L)
-			walk(v.R)
-		case *Not:
-			walk(v.C)
-		}
-	}
-	if q.Where != nil {
-		walk(q.Where)
-	}
-	return out
-}
-
 func quoteLiteral(s string) string {
 	if _, err := strconv.ParseFloat(s, 64); err == nil {
 		return s

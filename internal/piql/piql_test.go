@@ -334,16 +334,6 @@ func TestFeatureVectorShapeAndDamping(t *testing.T) {
 	}
 }
 
-func TestWhereAndReturnPaths(t *testing.T) {
-	q := MustParse("FOR //patient WHERE //age > 3 AND (EXISTS //dob OR //name CONTAINS 'a') RETURN //diagnosis, COUNT(*)")
-	if got := len(q.WherePaths()); got != 3 {
-		t.Errorf("where paths = %d, want 3", got)
-	}
-	if got := len(q.ReturnPaths()); got != 1 {
-		t.Errorf("return paths = %d, want 1 (COUNT(*) has none)", got)
-	}
-}
-
 func TestMustParsePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -21,7 +21,6 @@ package policy
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"privateiye/internal/xmltree"
 )
@@ -288,19 +287,6 @@ func (s Sensitivity) String() string {
 	return fmt.Sprintf("Sensitivity(%d)", int(s))
 }
 
-// ParseSensitivity parses a sensitivity name.
-func ParseSensitivity(s string) (Sensitivity, error) {
-	switch s {
-	case "low":
-		return Low, nil
-	case "medium":
-		return Medium, nil
-	case "high":
-		return High, nil
-	}
-	return 0, fmt.Errorf("policy: unknown sensitivity %q", s)
-}
-
 // PrivacyView is the second language: it defines what counts as private
 // data in a source, as a set of item patterns with sensitivities. Items
 // not covered by any view are public.
@@ -345,16 +331,4 @@ func (v *PrivacyView) Covers(path string) (Sensitivity, bool) {
 		}
 	}
 	return best, found
-}
-
-// PrivatePaths filters paths to those the view covers, sorted.
-func (v *PrivacyView) PrivatePaths(paths []string) []string {
-	var out []string
-	for _, p := range paths {
-		if _, ok := v.Covers(p); ok {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

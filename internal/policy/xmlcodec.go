@@ -111,37 +111,3 @@ func (v *PrivacyView) ToNode() *xmltree.Node {
 	}
 	return root
 }
-
-// PrivacyViewFromNode decodes the ToNode encoding.
-func PrivacyViewFromNode(n *xmltree.Node) (*PrivacyView, error) {
-	if n.Name != "privacyview" {
-		return nil, fmt.Errorf("policy: expected <privacyview>, got <%s>", n.Name)
-	}
-	name, _ := n.Attr("name")
-	if name == "" {
-		return nil, fmt.Errorf("policy: <privacyview> missing name")
-	}
-	var items []ViewItem
-	for _, c := range n.ChildrenNamed("item") {
-		path, _ := c.Attr("path")
-		if path == "" {
-			return nil, fmt.Errorf("policy: view item missing path")
-		}
-		sensS, _ := c.Attr("sensitivity")
-		sens, err := ParseSensitivity(sensS)
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, ViewItem{Item: path, Sensitivity: sens})
-	}
-	return NewPrivacyView(name, items...)
-}
-
-// ParsePrivacyView decodes a privacy view from XML text.
-func ParsePrivacyView(src string) (*PrivacyView, error) {
-	n, err := xmltree.ParseString(src)
-	if err != nil {
-		return nil, err
-	}
-	return PrivacyViewFromNode(n)
-}

@@ -2,7 +2,6 @@ package preserve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -54,14 +53,6 @@ func (b BreachClass) String() string {
 	return fmt.Sprintf("BreachClass(%d)", int(b))
 }
 
-// Classes lists every breach class.
-func Classes() []BreachClass {
-	return []BreachClass{
-		BreachNone, BreachIdentity, BreachAttribute,
-		BreachAggregateInference, BreachLinkage, BreachSequence,
-	}
-}
-
 // Registry is the Privacy Preservation KB: breach class -> technique.
 type Registry struct {
 	mu         sync.RWMutex
@@ -90,18 +81,6 @@ func (r *Registry) For(b BreachClass) Technique {
 		return t
 	}
 	return Identity{}
-}
-
-// Registered returns the classes with explicit techniques, sorted.
-func (r *Registry) Registered() []BreachClass {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]BreachClass, 0, len(r.techniques))
-	for b := range r.techniques {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // DefaultRegistry wires the standard mitigations used by the examples and

@@ -6,64 +6,63 @@ import (
 	"testing"
 )
 
-// The batched entry points must be drop-in: identical outputs in
-// identical order, identical counter semantics, identical validation.
+// The chunked kernels are checked against the protocol's definition,
+// computed inline one item at a time: Blind(x) = H(x)^secret and
+// Exponentiate(e) = e^secret, in input order, at any worker count.
 
-func TestBlindBatchMatchesScalar(t *testing.T) {
+func TestBlindMatchesReference(t *testing.T) {
 	forEachSuite(t, func(t *testing.T, s Suite) {
-		a, err := NewParty(s, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewParty(s, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Same secret required for comparison, so blind the same items with
-		// two parties and compare each against itself across entry points:
-		// party a uses the scalar path, then the batch path must be pure
-		// cache hits returning the identical elements.
 		items := make([]string, 100)
 		for i := range items {
 			items[i] = fmt.Sprintf("item-%03d", i)
 		}
-		scalar := a.Blind(items)
-		batch := a.BlindBatch(items)
-		for i := range items {
-			if !s.Equal(scalar[i], batch[i]) {
-				t.Fatalf("item %d: batch blind differs from scalar", i)
-			}
-		}
-		blinded, hits, _ := a.Stats()
-		if blinded != 200 {
-			t.Errorf("blinded = %d, want 200", blinded)
-		}
-		if hits != 100 {
-			t.Errorf("cache hits = %d, want 100 (the whole second pass)", hits)
-		}
-
-		// Cold batch on a fresh party must agree with the protocol: both
-		// orders of double-blinding collide per item.
-		bBatch := b.BlindBatch(items)
-		ab, err := b.ExponentiateBatch(scalar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ba, err := a.ExponentiateBatch(bBatch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range items {
-			if !s.Equal(ab[i], ba[i]) {
-				t.Fatalf("item %d: batched double-blinding does not commute", i)
-			}
+		for _, w := range []int{1, 4} {
+			t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+				p, err := NewParty(s, rand.Reader)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.SetWorkers(w)
+				want := make([]Element, len(items))
+				for i, x := range items {
+					want[i] = s.Exp(s.HashToGroup(nil, x), p.secret)
+				}
+				// Cold over a prefix, then the whole column twice: the
+				// second round mixes table hits with fresh items, the
+				// third is all hits.
+				rounds := []struct {
+					name string
+					n    int
+				}{{"cold", 40}, {"partly warm", len(items)}, {"warm", len(items)}}
+				for _, r := range rounds {
+					got := p.Blind(items[:r.n])
+					if len(got) != r.n {
+						t.Fatalf("%s: %d elements for %d items", r.name, len(got), r.n)
+					}
+					for i := range got {
+						if !s.Equal(got[i], want[i]) {
+							t.Fatalf("%s: item %d differs from H(x)^secret", r.name, i)
+						}
+					}
+				}
+				blinded, hits, exp := p.Stats()
+				if blinded != 240 {
+					t.Errorf("blinded = %d, want 240", blinded)
+				}
+				if hits != 140 {
+					t.Errorf("cache hits = %d, want 140 (40 in the second round, 100 in the third)", hits)
+				}
+				if exp != 0 {
+					t.Errorf("exponentiated = %d, want 0", exp)
+				}
+			})
 		}
 	})
 }
 
-func TestExponentiateBatchMatchesScalar(t *testing.T) {
+func TestExponentiateMatchesReference(t *testing.T) {
 	forEachSuite(t, func(t *testing.T, s Suite) {
-		a, err := NewParty(s, rand.Reader)
+		peer, err := NewParty(s, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,57 +70,55 @@ func TestExponentiateBatchMatchesScalar(t *testing.T) {
 		for i := range items {
 			items[i] = fmt.Sprintf("elem-%02d", i)
 		}
-		elems := a.Blind(items)
-		scalar, err := a.Exponentiate(elems)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch, err := a.ExponentiateBatch(elems)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range elems {
-			if !s.Equal(scalar[i], batch[i]) {
-				t.Fatalf("element %d: batch exponentiation differs from scalar", i)
-			}
-		}
-	})
-}
-
-func TestExponentiateBatchRejectsBadElements(t *testing.T) {
-	forEachSuite(t, func(t *testing.T, s Suite) {
-		a, _ := NewParty(s, rand.Reader)
-		good := a.Blind([]string{"x", "y"})
-		bad := append(append([]Element{}, good...), nil)
-		if _, err := a.ExponentiateBatch(bad); err == nil {
-			t.Error("nil element must be rejected")
-		}
-		for name, be := range badElements(t, s) {
-			withBad := append(append([]Element{}, good...), be)
-			if _, err := a.ExponentiateBatch(withBad); err == nil {
-				t.Errorf("%s element must be rejected", name)
-			}
+		elems := peer.Blind(items)
+		for _, w := range []int{1, 4} {
+			t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+				p, err := NewParty(s, rand.Reader)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := p.SetWorkers(w).Exponentiate(elems)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(elems) {
+					t.Fatalf("%d elements for %d inputs", len(got), len(elems))
+				}
+				for i, e := range elems {
+					if !s.Equal(got[i], s.Exp(e, p.secret)) {
+						t.Fatalf("element %d differs from e^secret", i)
+					}
+				}
+				blinded, hits, exp := p.Stats()
+				if blinded != 0 || hits != 0 || exp != uint64(len(elems)) {
+					t.Errorf("stats = %d blinded, %d hits, %d exponentiated; want 0, 0, %d",
+						blinded, hits, exp, len(elems))
+				}
+			})
 		}
 	})
 }
 
-func TestBlindBatchEmptyAndSerial(t *testing.T) {
+func TestBlindEmptyAndSerial(t *testing.T) {
 	forEachSuite(t, func(t *testing.T, s Suite) {
 		a, _ := NewParty(s, rand.Reader)
-		if got := a.BlindBatch(nil); len(got) != 0 {
-			t.Errorf("empty batch returned %d elements", len(got))
+		if got := a.Blind(nil); len(got) != 0 {
+			t.Errorf("empty input returned %d elements", len(got))
+		}
+		if blinded, _, _ := a.Stats(); blinded != 0 {
+			t.Errorf("empty input counted %d items", blinded)
 		}
 		a.SetWorkers(1)
-		out := a.BlindBatch([]string{"only"})
+		out := a.Blind([]string{"only"})
 		if len(out) != 1 || out[0] == nil {
-			t.Errorf("serial single-item batch = %v", out)
+			t.Errorf("serial single-item blind = %v", out)
 		}
 	})
 }
 
-// BenchmarkBlind compares per-item dispatch against chunked batching on
-// a warm cache, where dispatch and lock overhead — not the group op —
-// is the cost being amortized (the E23 PSI leg).
+// BenchmarkBlind measures a warm round, where every item is a
+// precomputation-table hit: chunk dispatch and table locking, not the
+// group operation, are the cost.
 func BenchmarkBlind(b *testing.B) {
 	for _, s := range []Suite{ModPSuite(TestGroup()), P256Suite()} {
 		a, err := NewParty(s, rand.Reader)
@@ -133,16 +130,10 @@ func BenchmarkBlind(b *testing.B) {
 			items[i] = fmt.Sprintf("item-%04d", i)
 		}
 		a.Blind(items) // warm the precomputation table
-		b.Run(s.Name()+"/scalar", func(b *testing.B) {
+		b.Run(s.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				a.Blind(items)
-			}
-		})
-		b.Run(s.Name()+"/batch", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a.BlindBatch(items)
 			}
 		})
 	}
@@ -167,16 +158,16 @@ func BenchmarkBlindCold(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				a.BlindBatch(items)
+				a.Blind(items)
 			}
 		})
 	}
 }
 
-// BenchmarkExponentiateBatch measures the cold path: every element is a
-// fresh group operation, so this reports elements/s for the chunked
-// kernel.
-func BenchmarkExponentiateBatch(b *testing.B) {
+// BenchmarkExponentiate measures the second message: every element is a
+// fresh group operation (peer elements are never cached), so this
+// reports elements/s for the chunked kernel.
+func BenchmarkExponentiate(b *testing.B) {
 	for _, s := range []Suite{ModPSuite(TestGroup()), P256Suite()} {
 		a, err := NewParty(s, rand.Reader)
 		if err != nil {
@@ -187,21 +178,13 @@ func BenchmarkExponentiateBatch(b *testing.B) {
 			items[i] = fmt.Sprintf("item-%04d", i)
 		}
 		elems := a.Blind(items)
-		for _, entry := range []string{"scalar", "batch"} {
-			b.Run(s.Name()+"/"+entry, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					var err error
-					if entry == "scalar" {
-						_, err = a.Exponentiate(elems)
-					} else {
-						_, err = a.ExponentiateBatch(elems)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
+		b.Run(s.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := a.Exponentiate(elems); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -39,17 +39,17 @@ import (
 // recomputed rather than growing the table without bound.
 const blindCacheCap = 1 << 16
 
-// scratchPool recycles hash-to-group scratch buffers across scalar
-// kernel calls; batch kernels hold one scratch per chunk instead.
+// scratchPool recycles hash-to-group scratch buffers across Blind
+// calls; each chunk holds one for its whole run.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 // Party is one protocol participant holding a secret scalar for its
 // suite.
 //
-// Every per-item operation (one group exponentiation each) fans out
-// over the shared worker pool; SetWorkers tunes the width (0 =
-// GOMAXPROCS, 1 = serial). Output order is always the input order, so
-// the protocol transcript is byte-identical at any width.
+// Both kernels fan out over the shared worker pool in contiguous
+// chunks; SetWorkers tunes the width (0 = GOMAXPROCS, 1 = serial).
+// Output order is always the input order, so the protocol transcript
+// is byte-identical at any width.
 type Party struct {
 	suite   Suite
 	secret  Secret
@@ -98,14 +98,6 @@ func (p *Party) SetWorkers(n int) *Party {
 	return p
 }
 
-// cachedBlind returns the precomputed blind for an item, if present.
-func (p *Party) cachedBlind(item string) (Element, bool) {
-	p.mu.RLock()
-	v, ok := p.blinds[item]
-	p.mu.RUnlock()
-	return v, ok
-}
-
 // storeBlinds installs freshly computed blinds, respecting the cap.
 func (p *Party) storeBlinds(items []string, vals []Element) {
 	p.mu.Lock()
@@ -122,40 +114,14 @@ func (p *Party) storeBlinds(items []string, vals []Element) {
 }
 
 // Blind hashes each item into the group and applies the party's
-// secret: the first message of the protocol. Items fan out across the
-// worker pool (one group exponentiation each), and results are memoized
-// in the party's precomputation table — the scalar is fixed for the
-// party's lifetime, so a warm round is pure lookups. Output order
+// secret: the first message of the protocol. The fan-out is one pool
+// task per contiguous chunk of items (a single exponentiation is too
+// cheap to dispatch alone), the precomputation table is read under one
+// RLock per chunk, and each chunk reuses a single hash-to-group scratch
+// buffer. Results are memoized in the table — the scalar is fixed for
+// the party's lifetime, so a warm round is pure lookups. Output order
 // matches the input order regardless of worker count.
 func (p *Party) Blind(items []string) []Element {
-	out := make([]Element, len(items))
-	fresh := make([]Element, len(items)) // only newly computed entries
-	p.blindItems.Add(uint64(len(items)))
-	// parallel.ForEach with an always-nil error never fails.
-	_ = parallel.ForEach(context.Background(), len(items), p.workers, func(i int) error {
-		if v, ok := p.cachedBlind(items[i]); ok {
-			out[i] = v
-			p.blindHits.Add(1)
-			return nil
-		}
-		sc := scratchPool.Get().(*Scratch)
-		v := p.suite.Exp(p.suite.HashToGroup(sc, items[i]), p.secret)
-		scratchPool.Put(sc)
-		out[i], fresh[i] = v, v
-		return nil
-	})
-	p.storeBlinds(items, fresh)
-	return out
-}
-
-// BlindBatch is Blind for whole columns: identical output (order, cache
-// use, counters), but the fan-out is one pool task per contiguous chunk
-// of items rather than per item, the precomputation table is read
-// under one RLock per chunk instead of one per item, and each chunk
-// reuses a single hash-to-group scratch buffer. Sources feed a field's
-// full value column through here; the per-item entry point remains the
-// scalar baseline experiments compare against.
-func (p *Party) BlindBatch(items []string) []Element {
 	n := len(items)
 	out := make([]Element, n)
 	if n == 0 {
@@ -195,30 +161,11 @@ func (p *Party) BlindBatch(items []string) []Element {
 
 // Exponentiate applies this party's secret to already-blinded elements
 // (received from the peer), preserving order: the second message. Peer
-// elements are validated and then exponentiated across the worker pool;
-// they are never cached (each round's peer blinding is fresh).
+// elements are validated serially first, so a membership error is
+// deterministic and names the lowest offending index; then one pool
+// task exponentiates each contiguous chunk. Peer elements are never
+// cached (each round's peer blinding is fresh).
 func (p *Party) Exponentiate(elems []Element) ([]Element, error) {
-	// Validate serially first: membership errors must be deterministic
-	// and reported for the lowest offending index, not whichever worker
-	// happened to reach its element first.
-	for i, e := range elems {
-		if e == nil {
-			return nil, fmt.Errorf("psi: element %d is nil", i)
-		}
-		if err := p.suite.Validate(e); err != nil {
-			return nil, fmt.Errorf("psi: element %d: %w", i, err)
-		}
-	}
-	p.expItems.Add(uint64(len(elems)))
-	return parallel.Map(context.Background(), len(elems), p.workers, func(i int) (Element, error) {
-		return p.suite.Exp(elems[i], p.secret), nil
-	})
-}
-
-// ExponentiateBatch is Exponentiate with chunked fan-out: one pool task
-// per contiguous run of elements. Validation, ordering and counters are
-// identical to the scalar entry point.
-func (p *Party) ExponentiateBatch(elems []Element) ([]Element, error) {
 	for i, e := range elems {
 		if e == nil {
 			return nil, fmt.Errorf("psi: element %d is nil", i)
@@ -292,14 +239,4 @@ func Intersect(initiator, responder *Party, itemsA, itemsB []string) ([]int, err
 		return nil, nil
 	}
 	return out, nil
-}
-
-// Cardinality runs the protocol but returns only the intersection size —
-// the variant sources use when even which items matched is too revealing.
-func Cardinality(initiator, responder *Party, itemsA, itemsB []string) (int, error) {
-	idx, err := Intersect(initiator, responder, itemsA, itemsB)
-	if err != nil {
-		return 0, err
-	}
-	return len(idx), nil
 }

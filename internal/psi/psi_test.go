@@ -247,26 +247,25 @@ func TestIntersectDifferentSuitesRejected(t *testing.T) {
 func TestExponentiateRejectsBadElements(t *testing.T) {
 	forEachSuite(t, func(t *testing.T, s Suite) {
 		a, _ := parties(t, s)
+		// Alone, and at the end of a column of valid elements.
+		good := a.Blind([]string{"x", "y"})
+		afterGood := func(e Element) []Element { return append(append([]Element{}, good...), e) }
 		if _, err := a.Exponentiate([]Element{nil}); err == nil {
 			t.Error("nil element should be rejected")
+		}
+		if _, err := a.Exponentiate(afterGood(nil)); err == nil {
+			t.Error("nil element after valid ones should be rejected")
 		}
 		for name, bad := range badElements(t, s) {
 			if _, err := a.Exponentiate([]Element{bad}); err == nil {
 				t.Errorf("%s element should be rejected", name)
 			}
+			if _, err := a.Exponentiate(afterGood(bad)); err == nil {
+				t.Errorf("%s element after valid ones should be rejected", name)
+			}
 			if err := s.Validate(bad); err == nil {
 				t.Errorf("Validate should reject %s element", name)
 			}
-		}
-	})
-}
-
-func TestCardinality(t *testing.T) {
-	forEachSuite(t, func(t *testing.T, s Suite) {
-		a, b := parties(t, s)
-		n, err := Cardinality(a, b, []string{"1", "2", "3", "4"}, []string{"3", "4", "5"})
-		if err != nil || n != 2 {
-			t.Errorf("cardinality = %d, %v", n, err)
 		}
 	})
 }

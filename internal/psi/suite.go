@@ -71,7 +71,7 @@ type Secret interface{ psiSecret() }
 // Scratch holds reusable hash-to-group buffers: one SHA-256 state and
 // one expansion buffer, both recycled across calls so the hot path
 // allocates only the element it returns. Not safe for concurrent use;
-// batch kernels carry one per worker chunk.
+// the Blind kernel carries one per worker chunk.
 type Scratch struct {
 	h   hash.Hash
 	buf []byte
@@ -108,9 +108,6 @@ func SuiteByName(name string) (Suite, error) {
 	}
 	return nil, fmt.Errorf("psi: unknown suite %q", name)
 }
-
-// DefaultSuite returns the production default (P-256).
-func DefaultSuite() Suite { return P256Suite() }
 
 // TestSuite returns the fast MODP suite tests and demos use when they
 // specifically need the safe-prime code path (for the curve path they

@@ -182,21 +182,6 @@ func (r *Result) Column(name string) ([]Value, error) {
 	return out, nil
 }
 
-// Floats extracts one numeric column as float64s, skipping nulls.
-func (r *Result) Floats(name string) ([]float64, error) {
-	vals, err := r.Column(name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, 0, len(vals))
-	for _, v := range vals {
-		if f, ok := v.AsFloat(); ok {
-			out = append(out, f)
-		}
-	}
-	return out, nil
-}
-
 // SortBy orders the result rows by the named columns, ascending.
 func (r *Result) SortBy(names ...string) error {
 	idx := make([]int, len(names))

@@ -1,10 +1,6 @@
 package relational
 
-import (
-	"fmt"
-
-	"privateiye/internal/xmltree"
-)
+import "privateiye/internal/xmltree"
 
 // ResultToXML renders a query result as an XML tree in the wire shape the
 // paper's XML Transformer produces at a source: a <result> root with one
@@ -24,33 +20,6 @@ func ResultToXML(res *Result) *xmltree.Node {
 		root.Append(row)
 	}
 	return root
-}
-
-// ResultFromXML parses the ResultToXML encoding back into a Result, using
-// the given schema for types. Columns missing from a row become nulls.
-func ResultFromXML(node *xmltree.Node, schema *Schema) (*Result, error) {
-	res := &Result{Schema: schema}
-	for _, rowNode := range node.ChildrenNamed("row") {
-		row := make(Row, len(schema.Columns))
-		for i, col := range schema.Columns {
-			c := rowNode.Child(sanitizeElemName(col.Name))
-			if c == nil {
-				row[i] = Null(col.Type)
-				continue
-			}
-			if isNull, _ := c.Attr("null"); isNull == "true" {
-				row[i] = Null(col.Type)
-				continue
-			}
-			v, err := ParseValue(col.Type, c.Text)
-			if err != nil {
-				return nil, fmt.Errorf("relational: result row: %w", err)
-			}
-			row[i] = v
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
 }
 
 // TableToXML renders a whole table in the same shape, rooted at the table

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"privateiye/internal/linkage"
 	"privateiye/internal/schemamatch"
 	"privateiye/internal/source"
 	"privateiye/internal/xmltree"
@@ -169,14 +168,6 @@ func (c *Chaos) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmlt
 		return nil, err
 	}
 	return c.inner.PSIExponentiate(ctx, elems)
-}
-
-// LinkageRecords implements source.Endpoint.
-func (c *Chaos) LinkageRecords(ctx context.Context, field string) ([]linkage.EncodedRecord, error) {
-	if err := c.inject(ctx); err != nil {
-		return nil, err
-	}
-	return c.inner.LinkageRecords(ctx, field)
 }
 
 // Interface check.

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"privateiye/internal/linkage"
 	"privateiye/internal/schemamatch"
 	"privateiye/internal/source"
 	"privateiye/internal/xmltree"
@@ -33,9 +32,6 @@ func (s stubEndpoint) PSIBlinded(context.Context, string, string) (*xmltree.Node
 }
 func (s stubEndpoint) PSIExponentiate(_ context.Context, e *xmltree.Node) (*xmltree.Node, error) {
 	return e, nil
-}
-func (s stubEndpoint) LinkageRecords(context.Context, string) ([]linkage.EncodedRecord, error) {
-	return nil, nil
 }
 
 var _ source.Endpoint = stubEndpoint{}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"privateiye/internal/linkage"
 	"privateiye/internal/schemamatch"
 	"privateiye/internal/source"
 	"privateiye/internal/xmltree"
@@ -109,13 +108,6 @@ func (e *Endpoint) PSIBlinded(ctx context.Context, field, suite string) (*xmltre
 func (e *Endpoint) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error) {
 	return call(ctx, e, func(ctx context.Context) (*xmltree.Node, error) {
 		return e.inner.PSIExponentiate(ctx, elems)
-	})
-}
-
-// LinkageRecords implements source.Endpoint.
-func (e *Endpoint) LinkageRecords(ctx context.Context, field string) ([]linkage.EncodedRecord, error) {
-	return call(ctx, e, func(ctx context.Context) ([]linkage.EncodedRecord, error) {
-		return e.inner.LinkageRecords(ctx, field)
 	})
 }
 

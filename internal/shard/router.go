@@ -84,18 +84,14 @@ type backendState struct {
 	markedAt time.Time
 }
 
-// noteMark records a local drain-mark change.
-func (bs *backendState) noteMark() {
-	bs.mu.Lock()
-	bs.markedAt = time.Now()
-	bs.mu.Unlock()
-}
-
-// markChangedSince reports whether the local mark changed after t.
-func (bs *backendState) markChangedSince(t time.Time) bool {
+// setMark sets the shard's drain mark in the ring and stamps the
+// change. It holds bs.mu across both, so syncDrainMark's
+// check-then-apply never interleaves with it.
+func (rt *Router) setMark(bs *backendState, draining bool) {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	return bs.markedAt.After(t)
+	_ = rt.ring.SetDraining(bs.Name, draining)
+	bs.markedAt = time.Now()
 }
 
 // Router proxies /query to the owning shard.
@@ -264,7 +260,9 @@ func (rt *Router) syncDrainMark(ctx context.Context, bs *backendState) {
 		io.Copy(io.Discard, resp.Body)
 		return
 	}
-	if bs.markChangedSince(started) {
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	if bs.markedAt.After(started) {
 		return
 	}
 	_ = rt.ring.SetDraining(bs.Name, st.Draining)
@@ -500,10 +498,7 @@ func (rt *Router) serveQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		// Learn the drain even when it was applied at the shard directly
 		// rather than through our admin surface.
-		_ = rt.ring.SetDraining(pe.shard, true)
-		if bs, ok := rt.byName[pe.shard]; ok {
-			bs.noteMark()
-		}
+		rt.setMark(rt.byName[pe.shard], true)
 		drained = appendMissing(drained, pe.shard)
 		adj, lerr := rt.ring.LookupExcluding(requester, drained)
 		if lerr != nil {
@@ -635,8 +630,7 @@ func (rt *Router) Handler() http.Handler {
 			path := "/shard/undrain"
 			if drain {
 				path = "/shard/drain"
-				_ = rt.ring.SetDraining(name, true)
-				bs.noteMark()
+				rt.setMark(bs, true)
 			} else if force := r.URL.Query().Get("force"); force != "" {
 				path += "?force=" + url.QueryEscape(force)
 			}
@@ -671,10 +665,12 @@ func (rt *Router) Handler() http.Handler {
 				http.Error(w, fmt.Sprintf("router: undraining %s: %v", name, err), code)
 				return
 			}
-			if !drain {
-				_ = rt.ring.SetDraining(name, false)
-				bs.noteMark()
-			}
+			// Stamp the mark again now that the shard has applied the
+			// change: a status poll that started after the first stamp
+			// but read the shard before it drained may have cleared the
+			// mark, and any poll still in flight read the same stale
+			// state.
+			rt.setMark(bs, drain)
 			w.WriteHeader(http.StatusNoContent)
 		}
 	}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -336,6 +337,45 @@ func TestRouterDrainMarksConverge(t *testing.T) {
 	// a stale drained set in X-Shard-Rerouted-From forever.
 	shards[0].setDraining(false)
 	waitFor("shard-a", false, "router kept a stale drain mark after the shard undrained")
+}
+
+// TestRouterDrainMarkSurvivesStaleStatus: a status poll that starts
+// after the router marks a shard draining, but reads the shard before
+// the shard has applied the drain, sees draining=false. Once the drain
+// completes the router's mark must stand, or new requesters route into
+// the draining shard until the next poll.
+func TestRouterDrainMarkSurvivesStaleStatus(t *testing.T) {
+	shards := []*fakeShard{newFakeShard(t, "shard-a"), newFakeShard(t, "shard-b")}
+	rt, srv := newTestRouter(t, shards, nil) // no poller: the test is the poll
+	arrived, release := make(chan struct{}), make(chan struct{})
+	shards[0].srv.Config.Handler.(*http.ServeMux).HandleFunc("POST /shard/drain", func(w http.ResponseWriter, r *http.Request) {
+		close(arrived)
+		<-release
+		shards[0].setDraining(true)
+		w.WriteHeader(http.StatusNoContent)
+	})
+
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/shards/drain?name=shard-a", "", nil)
+		if err != nil {
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	<-arrived // the router has marked shard-a; the shard has not drained
+	rt.syncDrainMark(context.Background(), rt.byName["shard-a"])
+	close(release)
+	if code := <-status; code != http.StatusNoContent {
+		t.Fatalf("drain via router: status %d", code)
+	}
+	for _, m := range rt.ring.Members() {
+		if m.Name == "shard-a" && !m.Draining {
+			t.Fatal("router lost its drain mark to a status read taken before the shard drained")
+		}
+	}
 }
 
 // TestRouterHealthGate: a shard failing /readyz is refused fast with a

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"privateiye/internal/linkage"
 	"privateiye/internal/obs"
 	"privateiye/internal/psi"
 	"privateiye/internal/schemamatch"
@@ -48,21 +47,12 @@ type Endpoint interface {
 	// PSIExponentiate raises peer-blinded elements to this source's
 	// secret, preserving order.
 	PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error)
-	// LinkageRecords returns Bloom-encoded records for fuzzy matching on
-	// a field.
-	LinkageRecords(ctx context.Context, field string) ([]linkage.EncodedRecord, error)
 }
 
-// linkageDefaults are the standard Bloom parameters (see internal/linkage).
-const (
-	linkageM = 1000
-	linkageK = 20
-	linkageQ = 2
-)
-
-// Local wraps a Source as an in-process Endpoint. The LinkageSalt must be
-// shared by every source participating in integration (it is the linking
-// secret); the PSI group likewise.
+// Local wraps a Source as an in-process Endpoint. The PSI group must be
+// shared by every source participating in integration. LinkageSalt is
+// the fleet's linking secret; NewLocal refuses an empty one, but no
+// source call reads it (private dedup runs at the mediator).
 type Local struct {
 	Src         *Source
 	LinkageSalt []byte
@@ -74,12 +64,12 @@ type Local struct {
 	// A legacy MODP-only deployment pins this to just its MODP name.
 	AdvertisedSuites []string
 
-	// Coalesce merges concurrent identical whole-column calls —
-	// PSIBlinded and LinkageRecords for the same field — into one shared
-	// computation. Unlike query coalescing at the mediator, nothing here
-	// is per-requester (neither call even carries one), so sharing the
-	// result is unconditionally safe; the knob exists because the win
-	// only materializes when several integration rounds race.
+	// Coalesce merges concurrent identical PSIBlinded calls — same
+	// field, same suite — into one shared computation. Unlike query
+	// coalescing at the mediator, nothing here is per-requester (the
+	// call does not even carry one), so sharing the result is
+	// unconditionally safe; the knob exists because the win only
+	// materializes when several integration rounds race.
 	Coalesce bool
 
 	mu      sync.Mutex
@@ -93,13 +83,13 @@ type Local struct {
 // colFlight is one in-progress shared column computation.
 type colFlight struct {
 	done chan struct{}
-	val  any
+	val  *xmltree.Node
 	err  error
 }
 
 // sharedColumn runs compute once per concurrent burst of identical
 // column requests: the first caller computes, the rest wait and share.
-func (l *Local) sharedColumn(ctx context.Context, key string, compute func() (any, error)) (any, error) {
+func (l *Local) sharedColumn(ctx context.Context, key string, compute func() (*xmltree.Node, error)) (*xmltree.Node, error) {
 	if !l.Coalesce {
 		return compute()
 	}
@@ -273,21 +263,11 @@ func (l *Local) psiParty(suite psi.Suite) (*psi.Party, error) {
 			return float64(e)
 		}, "source", name, "suite", sName)
 		if l.mBatch == nil {
-			reg.Help("piye_psi_batch_items", "Items per whole-column PSI call (batched kernel entry).")
+			reg.Help("piye_psi_batch_items", "Items per whole-column PSI call.")
 			l.mBatch = reg.Histogram("piye_psi_batch_items", psiBatchBuckets, "source", name)
 		}
 	}
 	return p, nil
-}
-
-// items returns the linkage items of a field along with their record ids.
-func (l *Local) items(field string) (ids, values []string) {
-	vals := l.Src.fieldValues(field, 1<<20)
-	ids = make([]string, len(vals))
-	for i := range vals {
-		ids[i] = fmt.Sprintf("%s#%d", l.Src.Name(), i)
-	}
-	return ids, vals
 }
 
 // PSIBlinded implements Endpoint.
@@ -299,19 +279,15 @@ func (l *Local) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.N
 	if err != nil {
 		return nil, err
 	}
-	v, err := l.sharedColumn(ctx, "psi-blind\x00"+s.Name()+"\x00"+field, func() (any, error) {
+	return l.sharedColumn(ctx, s.Name()+"\x00"+field, func() (*xmltree.Node, error) {
 		p, err := l.psiParty(s)
 		if err != nil {
 			return nil, err
 		}
-		_, vals := l.items(field)
+		vals := l.Src.fieldValues(field, 1<<20)
 		l.mBatch.Observe(float64(len(vals)))
-		return psi.MarshalElems(s, p.BlindBatch(vals)), nil
+		return psi.MarshalElems(s, p.Blind(vals)), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*xmltree.Node), nil
 }
 
 // PSIExponentiate implements Endpoint. The suite is read off the
@@ -338,68 +314,9 @@ func (l *Local) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmlt
 		return nil, err
 	}
 	l.mBatch.Observe(float64(len(in)))
-	out, err := p.ExponentiateBatch(in)
+	out, err := p.Exponentiate(in)
 	if err != nil {
 		return nil, err
 	}
 	return psi.MarshalElems(s, out), nil
-}
-
-// LinkageRecords implements Endpoint.
-func (l *Local) LinkageRecords(ctx context.Context, field string) ([]linkage.EncodedRecord, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	v, err := l.sharedColumn(ctx, "linkage\x00"+field, func() (any, error) {
-		enc, err := linkage.NewEncoder(linkageM, linkageK, linkageQ, l.LinkageSalt)
-		if err != nil {
-			return nil, err
-		}
-		ids, vals := l.items(field)
-		return enc.EncodeRecords(ids, vals, l.Src.cfg.Workers)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]linkage.EncodedRecord), nil
-}
-
-// PSIDoubleBlind is a convenience for tests and the mediator: it completes
-// the initiator side against a responder endpoint in the named suite
-// ("" = the initiator's preferred suite). It returns the double-blinded
-// versions of this endpoint's items (order-preserving) and of the
-// responder's items.
-func PSIDoubleBlind(ctx context.Context, initiator *Local, responder Endpoint, field, suite string) (own, theirs []psi.Element, err error) {
-	s, err := initiator.suiteFor(suite)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := initiator.psiParty(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	_, vals := initiator.items(field)
-	initiator.mBatch.Observe(float64(len(vals)))
-	blindedOwn := psi.MarshalElems(s, p.BlindBatch(vals))
-	ownDouble, err := responder.PSIExponentiate(ctx, blindedOwn)
-	if err != nil {
-		return nil, nil, err
-	}
-	own, err = psi.UnmarshalElems(ownDouble, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	theirBlinded, err := responder.PSIBlinded(ctx, field, s.Name())
-	if err != nil {
-		return nil, nil, err
-	}
-	theirElems, err := psi.UnmarshalElems(theirBlinded, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	theirs, err = p.ExponentiateBatch(theirElems)
-	if err != nil {
-		return nil, nil, err
-	}
-	return own, theirs, nil
 }

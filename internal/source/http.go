@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"privateiye/internal/admission"
-	"privateiye/internal/linkage"
 	"privateiye/internal/obs"
 	"privateiye/internal/policy"
 	"privateiye/internal/psi"
@@ -138,20 +137,6 @@ func NewHandler(l *Local) http.Handler {
 			return
 		}
 		writeNode(w, node)
-	})
-
-	mux.HandleFunc("GET /linkage/records", func(w http.ResponseWriter, r *http.Request) {
-		field := r.URL.Query().Get("field")
-		if field == "" {
-			fail(w, http.StatusBadRequest, fmt.Errorf("source: missing field"))
-			return
-		}
-		recs, err := l.LinkageRecords(r.Context(), field)
-		if err != nil {
-			fail(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeNode(w, linkage.RecordsToNode(recs, linkageM))
 	})
 
 	// Liveness/readiness: a constructed Local has finished loading its
@@ -428,15 +413,6 @@ func (c *Client) PSIBlinded(ctx context.Context, field, suite string) (*xmltree.
 // PSIExponentiate implements Endpoint.
 func (c *Client) PSIExponentiate(ctx context.Context, elems *xmltree.Node) (*xmltree.Node, error) {
 	return c.postNode(ctx, "/psi/exponentiate", "application/xml", elems.String())
-}
-
-// LinkageRecords implements Endpoint.
-func (c *Client) LinkageRecords(ctx context.Context, field string) ([]linkage.EncodedRecord, error) {
-	n, err := c.getNode(ctx, "/linkage/records?field="+url.QueryEscape(field))
-	if err != nil {
-		return nil, err
-	}
-	return linkage.RecordsFromNode(n)
 }
 
 // Interface checks.

@@ -356,18 +356,9 @@ func TestHTTPEndpointParity(t *testing.T) {
 	if len(doubled.ChildrenNamed("e")) != len(blinded.ChildrenNamed("e")) {
 		t.Error("psi exponentiate changed cardinality")
 	}
-
-	// Linkage records over HTTP.
-	recs, err := client.LinkageRecords(bg, "sex")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 200 {
-		t.Errorf("linkage records = %d, want 200", len(recs))
-	}
 }
 
-func TestPSIDoubleBlindIntersection(t *testing.T) {
+func TestPSIIntersectionAcrossEndpoints(t *testing.T) {
 	// Two sources sharing some patients by name; PSI finds the overlap.
 	mk := func(name string, names []string) *Local {
 		root := xmltree.NewElem("reg")
@@ -387,18 +378,27 @@ func TestPSIDoubleBlindIntersection(t *testing.T) {
 	}
 	a := mk("A", []string{"alice", "bob", "carol"})
 	b := mk("B", []string{"carol", "dave", "alice"})
-	own, theirs, err := PSIDoubleBlind(bg, a, b, "name", "")
-	if err != nil {
-		t.Fatal(err)
+	// The relay the mediator runs: each side's blinds are exponentiated
+	// by the other, and only double-blinded elements are compared.
+	doubled := func(owner, peer *Local) *xmltree.Node {
+		t.Helper()
+		blinded, err := owner.PSIBlinded(bg, "name", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := peer.PSIExponentiate(bg, blinded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	suite := psi.P256Suite() // both sources default-prefer the EC suite
 	inB := map[string]bool{}
-	for _, e := range theirs {
-		inB[string(suite.AppendElement(nil, e))] = true
+	for _, e := range doubled(b, a).ChildrenNamed("e") {
+		inB[e.Text] = true
 	}
 	matches := 0
-	for _, e := range own {
-		if inB[string(suite.AppendElement(nil, e))] {
+	for _, e := range doubled(a, b).ChildrenNamed("e") {
+		if inB[e.Text] {
 			matches++
 		}
 	}
@@ -640,9 +640,6 @@ func TestClientErrorPaths(t *testing.T) {
 	if _, err := c.Query(bg, "FOR //x RETURN //y", "r"); err == nil {
 		t.Error("dead node should error")
 	}
-	if _, err := c.LinkageRecords(bg, "name"); err == nil {
-		t.Error("dead node should error")
-	}
 	// nil HTTP falls back to the default client.
 	c.HTTP = nil
 	if c.httpClient() == nil {
@@ -660,19 +657,26 @@ func TestHandlerBadRequests(t *testing.T) {
 	defer server.Close()
 	client := server.Client()
 
-	// Missing field params.
-	for _, path := range []string{"/psi/blinded", "/linkage/records"} {
-		resp, err := client.Get(server.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 400 {
-			t.Errorf("%s without field: status %d", path, resp.StatusCode)
-		}
+	// Missing field param.
+	resp, err := client.Get(server.URL + "/psi/blinded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 400 {
+		t.Errorf("/psi/blinded without field: status %d", resp.StatusCode)
+	}
+	// Sources serve no Bloom encodings of their columns.
+	resp, err = client.Get(server.URL + "/linkage/records?field=name")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/linkage/records: status %d, want 404", resp.StatusCode)
 	}
 	// Bad PSI payload.
-	resp, err := client.Post(server.URL+"/psi/exponentiate", "application/xml", strings.NewReader("<psi-elems><e>zz</e></psi-elems>"))
+	resp, err = client.Post(server.URL+"/psi/exponentiate", "application/xml", strings.NewReader("<psi-elems><e>zz</e></psi-elems>"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,27 +149,6 @@ func RoundingHalfWidth(places int) float64 {
 	return 0.5 * math.Pow(10, -float64(places))
 }
 
-// Entropy returns the Shannon entropy (bits) of a discrete distribution
-// given by counts. Zero counts are ignored.
-func Entropy(counts []int) float64 {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	var h float64
-	for _, c := range counts {
-		if c <= 0 {
-			continue
-		}
-		p := float64(c) / float64(total)
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
 // Histogram counts xs into nbins equal-width bins over [lo, hi]. Values
 // outside the range are clamped into the edge bins.
 func Histogram(xs []float64, lo, hi float64, nbins int) ([]int, error) {
@@ -192,29 +171,6 @@ func Histogram(xs []float64, lo, hi float64, nbins int) ([]int, error) {
 		bins[i]++
 	}
 	return bins, nil
-}
-
-// Correlation returns the Pearson correlation coefficient of xs and ys.
-func Correlation(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	mx, _ := Mean(xs)
-	my, _ := Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: zero variance")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
 }
 
 // SampleStdDev returns the Bessel-corrected (n-1) sample standard

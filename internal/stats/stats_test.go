@@ -93,18 +93,6 @@ func TestRoundAndHalfWidth(t *testing.T) {
 	}
 }
 
-func TestEntropy(t *testing.T) {
-	if got := Entropy([]int{1, 1, 1, 1}); !almost(got, 2, 1e-12) {
-		t.Errorf("uniform-4 entropy = %v, want 2", got)
-	}
-	if got := Entropy([]int{5, 0, 0}); got != 0 {
-		t.Errorf("point-mass entropy = %v, want 0", got)
-	}
-	if got := Entropy(nil); got != 0 {
-		t.Errorf("empty entropy = %v, want 0", got)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	bins, err := Histogram([]float64{0, 0.5, 1.5, 2.5, 9.9, -3, 12}, 0, 10, 10)
 	if err != nil {
@@ -121,29 +109,6 @@ func TestHistogram(t *testing.T) {
 	}
 	if _, err := Histogram(nil, 0, 1, 0); err == nil {
 		t.Error("zero bins should error")
-	}
-}
-
-func TestCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	r, err := Correlation(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(r, 1, 1e-12) {
-		t.Errorf("corr = %v, want 1", r)
-	}
-	neg := []float64{8, 6, 4, 2}
-	r, _ = Correlation(xs, neg)
-	if !almost(r, -1, 1e-12) {
-		t.Errorf("corr = %v, want -1", r)
-	}
-	if _, err := Correlation(xs, []float64{1}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := Correlation(xs, []float64{3, 3, 3, 3}); err == nil {
-		t.Error("zero variance should error")
 	}
 }
 
@@ -254,18 +219,6 @@ func TestRandLaplaceMoments(t *testing.T) {
 	// Laplace variance is 2b^2 = 8, sd ~ 2.828.
 	if !almost(sd, math.Sqrt2*2, 0.08) {
 		t.Errorf("laplace sd = %v, want %v", sd, math.Sqrt2*2)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRand(3)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
 	}
 }
 
