@@ -99,6 +99,39 @@ func TestExponentiateMatchesReference(t *testing.T) {
 	})
 }
 
+// A column holding a bad element is refused whole by the chunked kernel,
+// at any worker count: no elements come back and the exponentiated
+// counter does not move.
+func TestExponentiateBatchRejectsBadElements(t *testing.T) {
+	forEachSuite(t, func(t *testing.T, s Suite) {
+		a, _ := NewParty(s, rand.Reader)
+		items := make([]string, 64)
+		for i := range items {
+			items[i] = fmt.Sprintf("col-%02d", i)
+		}
+		good := a.Blind(items)
+		bads := badElements(t, s)
+		bads["nil"] = nil
+		for _, w := range []int{1, 4} {
+			a.SetWorkers(w)
+			for name, be := range bads {
+				withBad := append([]Element{}, good...)
+				withBad[len(withBad)/2] = be
+				out, err := a.Exponentiate(withBad)
+				if err == nil {
+					t.Errorf("workers=%d: %s element must be rejected", w, name)
+				}
+				if out != nil {
+					t.Errorf("workers=%d: %s element: %d elements returned with the error", w, name, len(out))
+				}
+			}
+		}
+		if _, _, exp := a.Stats(); exp != 0 {
+			t.Errorf("exponentiated = %d after only rejected columns, want 0", exp)
+		}
+	})
+}
+
 func TestBlindEmptyAndSerial(t *testing.T) {
 	forEachSuite(t, func(t *testing.T, s Suite) {
 		a, _ := NewParty(s, rand.Reader)
