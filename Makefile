@@ -45,10 +45,12 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One iteration of the hot-path kernels: a smoke check that the
-# benchmarks still build and run, not a measurement.
+# One iteration of the hot-path kernels and the XML codec over a
+# 2000-row answer: a smoke check that the benchmarks still build and
+# run, not a measurement.
 bench-quick:
 	$(GO) test -run '^$$' -bench 'PSI|PIQL|Fig1dInference' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'EncodeResult|ParseResult' -benchtime 1x -benchmem ./internal/xmltree/
 
 # The amortization benchmarks: group-committed WAL appends vs inline
 # fsync, the pooled record encoder, and the chunked PSI kernels (warm
@@ -75,13 +77,15 @@ bench-baseline:
 	$(GO) run ./cmd/piye-bench -update-baseline bench/baseline.json
 
 # Short native-fuzzing runs over the untrusted-input decoders and the
-# ring invariants: WAL record decoding, the PIQL parser, the PSI wire
-# envelope and element decoders (both suites), and shard placement
-# under arbitrary membership churn. Raise FUZZTIME for longer hunts.
+# ring invariants: WAL record decoding, the PIQL parser, the XML parser
+# (differential against encoding/xml), the PSI wire envelope and element
+# decoders (both suites), and shard placement under arbitrary membership
+# churn. Raise FUZZTIME for longer hunts.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) ./internal/durable/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/piql/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xmltree/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalElems -fuzztime $(FUZZTIME) ./internal/psi/
 	$(GO) test -run '^$$' -fuzz FuzzP256DecodeElement -fuzztime $(FUZZTIME) ./internal/psi/
 	$(GO) test -run '^$$' -fuzz FuzzModPDecodeElement -fuzztime $(FUZZTIME) ./internal/psi/

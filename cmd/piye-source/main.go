@@ -135,8 +135,8 @@ func main() {
 		log.Fatalf("piye-source: %v", err)
 	}
 	local.Coalesce = *coalesce
-	if _, err := psi.SuiteByName(*psiSuite); err != nil {
-		log.Fatalf("piye-source: -psi-suite: %v", err)
+	if !psi.MeetsFloor(*psiSuite) {
+		log.Fatalf("piye-source: -psi-suite %q: want p256 or modp2048", *psiSuite)
 	}
 	if *psiSuite != psi.SuiteNameP256 {
 		// A MODP-pinned source advertises only its pinned suite; a mixed

@@ -17,8 +17,8 @@ import (
 )
 
 // suiteNode serves one compliance source over HTTP with an explicit PSI
-// suite advertisement (nil = the default: p256 preferred, MODP floor).
-// It models the fleet-upgrade scenario: a node still running the
+// suite advertisement (nil = the default: p256 preferred, modp2048
+// floor). It models the fleet-upgrade scenario: a node still running the
 // pre-curve build advertises only its MODP group.
 func suiteNode(t *testing.T, name string, advertised []string) *httptest.Server {
 	t.Helper()
@@ -40,7 +40,7 @@ func suiteNode(t *testing.T, name string, advertised []string) *httptest.Server 
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := source.NewLocal(src, salt, psi.TestGroup())
+	local, err := source.NewLocal(src, salt, psi.DefaultGroup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +74,12 @@ func suiteMediator(t *testing.T, nodes map[string]*httptest.Server) *mediator.Me
 // mediated queries must keep answering — a mixed fleet degrades, it
 // does not break.
 func TestMixedSuiteFleetNegotiatesDown(t *testing.T) {
-	legacy := suiteNode(t, "legacy", []string{psi.SuiteNameModP768})
+	legacy := suiteNode(t, "legacy", []string{psi.SuiteNameModP2048})
 	modern := suiteNode(t, "modern", nil)
 	med := suiteMediator(t, map[string]*httptest.Server{"legacy": legacy, "modern": modern})
 
-	if got := med.PSISuite(); got != psi.SuiteNameModP768 {
-		t.Fatalf("negotiated suite = %q, want %q (the legacy source cannot do better)", got, psi.SuiteNameModP768)
+	if got := med.PSISuite(); got != psi.SuiteNameModP2048 {
+		t.Fatalf("negotiated suite = %q, want %q (the legacy source cannot do better)", got, psi.SuiteNameModP2048)
 	}
 
 	ctx := context.Background()
@@ -92,18 +92,18 @@ func TestMixedSuiteFleetNegotiatesDown(t *testing.T) {
 	}
 
 	// The protocol messages really are in the negotiated group: the
-	// envelope names it and every element is one 768-bit residue.
+	// envelope names it and every element is one 2048-bit residue.
 	cli := source.NewClient(legacy.URL, "legacy")
 	elems, err := cli.PSIBlinded(ctx, "hmo", med.PSISuite())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := psi.WireSuiteName(elems); got != psi.SuiteNameModP768 {
-		t.Fatalf("envelope suite = %q, want %q", got, psi.SuiteNameModP768)
+	if got := psi.WireSuiteName(elems); got != psi.SuiteNameModP2048 {
+		t.Fatalf("envelope suite = %q, want %q", got, psi.SuiteNameModP2048)
 	}
 	for _, e := range elems.ChildrenNamed("e") {
-		if len(e.Text) != 2*96 {
-			t.Fatalf("element width %d hex chars, want %d", len(e.Text), 2*96)
+		if len(e.Text) != 2*256 {
+			t.Fatalf("element width %d hex chars, want %d", len(e.Text), 2*256)
 		}
 	}
 
@@ -115,6 +115,39 @@ func TestMixedSuiteFleetNegotiatesDown(t *testing.T) {
 	}
 	if len(out.Answered) != 2 {
 		t.Fatalf("answered sources = %v, want both", out.Answered)
+	}
+}
+
+// TestMixedSuiteFleetNeverNegotiatesModP768: the 768-bit test group is
+// below the strength floor. A source that advertises only it does not
+// drag the fleet down, even when every other source offers the weak
+// group too; negotiation fails closed to modp2048, private overlap with
+// that source is refused rather than run in the weak group, and the
+// source's HTTP handler refuses to serve the weak group to a caller who
+// asks for it directly.
+func TestMixedSuiteFleetNeverNegotiatesModP768(t *testing.T) {
+	weak := suiteNode(t, "weak", []string{psi.SuiteNameModP768})
+	modern := suiteNode(t, "modern", []string{psi.SuiteNameP256, psi.SuiteNameModP768})
+	med := suiteMediator(t, map[string]*httptest.Server{"weak": weak, "modern": modern})
+
+	if got := med.PSISuite(); got != psi.SuiteNameModP2048 {
+		t.Fatalf("negotiated suite = %q, want the fail-closed floor %q", got, psi.SuiteNameModP2048)
+	}
+	ctx := context.Background()
+	if n, err := med.Overlap(ctx, "weak", "modern", "hmo"); err == nil {
+		t.Fatalf("overlap with a modp768-only source answered %d; want a refusal", n)
+	}
+
+	cli := source.NewClient(weak.URL, "weak")
+	if _, err := cli.PSIBlinded(ctx, "hmo", psi.SuiteNameModP768); err == nil {
+		t.Fatal("blinded column served in modp768 over the wire")
+	}
+	if _, err := cli.PSIBlinded(ctx, "hmo", ""); err == nil {
+		t.Fatal("blinded column served in the source's default modp768 over the wire")
+	}
+	envelope := psi.MarshalElems(psi.TestSuite(), []psi.Element{psi.TestSuite().HashToGroup(nil, "HMO1")})
+	if _, err := cli.PSIExponentiate(ctx, envelope); err == nil {
+		t.Fatal("modp768 envelope exponentiated over the wire")
 	}
 }
 

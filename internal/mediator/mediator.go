@@ -214,8 +214,8 @@ func New(cfg Config) (*Mediator, error) {
 	if cfg.PSISuite == "" {
 		cfg.PSISuite = psi.DefaultSuiteName
 	}
-	if _, err := psi.SuiteByName(cfg.PSISuite); err != nil {
-		return nil, fmt.Errorf("mediator: %w", err)
+	if !psi.MeetsFloor(cfg.PSISuite) {
+		return nil, fmt.Errorf("mediator: psi suite %q: want p256 or modp2048 (the strength floor)", cfg.PSISuite)
 	}
 	if cfg.Resilience != nil {
 		// Wrap a copy: each endpoint gets its own circuit breaker, and
@@ -452,16 +452,17 @@ func (m *Mediator) MediatedSchema() *xmltree.Summary {
 }
 
 // negotiateSuite picks the one PSI suite the whole fleet will run.
-// preferred wins iff every source advertises it; otherwise the first
-// suite in the first source's preference order that everyone supports;
-// otherwise the hard fail-closed floor, modp2048 — a suite nobody
-// advertised is still better than two sources running different groups
-// and comparing meaningless bytes.
+// Only suites that meet the strength floor (psi.MeetsFloor) are
+// candidates. preferred wins iff every source advertises it; otherwise
+// the first candidate in the first source's preference order that
+// everyone supports; otherwise the hard fail-closed floor, modp2048 — a
+// suite nobody advertised is still better than a weak group or two
+// sources running different groups and comparing meaningless bytes.
 func negotiateSuite(preferred string, advertisements [][]string) string {
-	if len(advertisements) == 0 {
-		return preferred
-	}
-	everyone := func(name string) bool {
+	acceptable := func(name string) bool {
+		if !psi.MeetsFloor(name) {
+			return false
+		}
 		for _, adv := range advertisements {
 			found := false
 			for _, s := range adv {
@@ -476,12 +477,14 @@ func negotiateSuite(preferred string, advertisements [][]string) string {
 		}
 		return true
 	}
-	if everyone(preferred) {
+	if acceptable(preferred) {
 		return preferred
 	}
-	for _, candidate := range advertisements[0] {
-		if everyone(candidate) {
-			return candidate
+	if len(advertisements) > 0 {
+		for _, candidate := range advertisements[0] {
+			if acceptable(candidate) {
+				return candidate
+			}
 		}
 	}
 	return psi.SuiteNameModP2048

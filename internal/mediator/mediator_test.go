@@ -526,3 +526,29 @@ func TestCorrespondencesAcrossHeterogeneousSchemas(t *testing.T) {
 		}
 	}
 }
+
+// TestNegotiateSuiteFloor: no advertisement, preference or fleet shape
+// makes negotiation pick a suite below modp2048/p256, and a mediator
+// cannot be configured to prefer one.
+func TestNegotiateSuiteFloor(t *testing.T) {
+	weak, p256, modp := psi.SuiteNameModP768, psi.SuiteNameP256, psi.SuiteNameModP2048
+	for _, tc := range []struct {
+		preferred string
+		ads       [][]string
+		want      string
+	}{
+		{p256, [][]string{{weak}, {p256, weak}}, modp},
+		{p256, [][]string{{weak, modp}, {p256, modp}}, modp},
+		{weak, [][]string{{p256, weak}, {p256, weak}}, p256},
+		{weak, nil, modp},
+		{p256, nil, p256},
+	} {
+		if got := negotiateSuite(tc.preferred, tc.ads); got != tc.want {
+			t.Errorf("negotiateSuite(%q, %v) = %q, want %q", tc.preferred, tc.ads, got, tc.want)
+		}
+	}
+	eps := []source.Endpoint{source.NewClient("http://127.0.0.1:1", "unreached")}
+	if _, err := New(Config{Endpoints: eps, PSISuite: weak}); err == nil || !strings.Contains(err.Error(), "floor") {
+		t.Errorf("mediator.New with a modp768 preference: %v, want a floor refusal", err)
+	}
+}

@@ -87,7 +87,8 @@ const (
 	// SuiteNameModP2048 is the production safe-prime suite and the
 	// fail-closed floor every deployment supports.
 	SuiteNameModP2048 = "modp2048"
-	// SuiteNameModP768 is the fast test-only safe-prime suite.
+	// SuiteNameModP768 is the fast test-only safe-prime suite, below
+	// the floor MeetsFloor enforces at every process boundary.
 	SuiteNameModP768 = "modp768"
 )
 
@@ -107,6 +108,14 @@ func SuiteByName(name string) (Suite, error) {
 		return ModPSuite(TestGroup()), nil
 	}
 	return nil, fmt.Errorf("psi: unknown suite %q", name)
+}
+
+// MeetsFloor reports whether a suite is strong enough to leave the
+// process: p256 and modp2048 are. modp768, the 768-bit TestGroup, is for
+// in-process tests only; a fleet never negotiates it and a source never
+// serves it over the wire.
+func MeetsFloor(name string) bool {
+	return name == SuiteNameP256 || name == SuiteNameModP2048
 }
 
 // TestSuite returns the fast MODP suite tests and demos use when they

@@ -117,7 +117,15 @@ func NewHandler(l *Local) http.Handler {
 			fail(w, http.StatusBadRequest, fmt.Errorf("source: missing field"))
 			return
 		}
-		node, err := l.PSIBlinded(r.Context(), field, r.URL.Query().Get("suite"))
+		suite := r.URL.Query().Get("suite")
+		if suite == "" {
+			suite = l.advertised()[0]
+		}
+		if err := wireSuite(suite); err != nil {
+			fail(w, http.StatusBadRequest, err)
+			return
+		}
+		node, err := l.PSIBlinded(r.Context(), field, suite)
 		if err != nil {
 			fail(w, http.StatusInternalServerError, err)
 			return
@@ -128,6 +136,14 @@ func NewHandler(l *Local) http.Handler {
 	mux.HandleFunc("POST /psi/exponentiate", func(w http.ResponseWriter, r *http.Request) {
 		in, err := readNode(r.Body)
 		if err != nil {
+			fail(w, http.StatusBadRequest, err)
+			return
+		}
+		suite := psi.WireSuiteName(in)
+		if suite == "" {
+			suite = l.modpSuiteName() // what PSIExponentiate reads a legacy envelope as
+		}
+		if err := wireSuite(suite); err != nil {
 			fail(w, http.StatusBadRequest, err)
 			return
 		}
@@ -149,6 +165,15 @@ func NewHandler(l *Local) http.Handler {
 	obs.Attach(mux, reg, tracer)
 
 	return mux
+}
+
+// wireSuite refuses, over HTTP, every PSI suite below the strength
+// floor: the 768-bit test group serves in-process tests only.
+func wireSuite(name string) error {
+	if !psi.MeetsFloor(name) {
+		return fmt.Errorf("source: psi suite %q is below the modp2048/p256 floor and is not served over the wire", name)
+	}
+	return nil
 }
 
 func readNode(r io.Reader) (*xmltree.Node, error) {

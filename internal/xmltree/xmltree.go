@@ -4,34 +4,34 @@
 // flexibility in the kinds of data that can be handled by our system",
 // covering relational rows, hierarchical stores and structured files with
 // one model. This package supplies that model: an ordered, labelled node
-// tree with attributes and text, parsing and serialization via
-// encoding/xml, navigation primitives used by the PIQL evaluator, and the
-// structural summaries ("DataGuides") from which the mediator builds its
-// partial mediated schema (Section 5).
+// tree with attributes and text, its XML codec, navigation primitives
+// used by the PIQL evaluator, and the structural summaries ("DataGuides")
+// from which the mediator builds its partial mediated schema (Section 5).
+//
+// The codec is hand-written for the one document shape every source
+// call, PSI envelope and answer uses. Encode writes one element per line,
+// indented two spaces per level, attributes in key order, escaping text
+// and attribute values exactly as encoding/xml.EscapeText does. Parse
+// accepts the subset of XML 1.0 documented on it and rejects the rest.
 package xmltree
 
-import (
-	"encoding/xml"
-	"fmt"
-	"io"
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Node is one element in an XML document tree. Text content is stored on
 // the node itself (concatenation of its character data), which is the
 // granularity at which privacy policies and preservation techniques apply.
 type Node struct {
 	Name     string
-	Attrs    map[string]string
+	Attrs    map[string]string // nil until the element has an attribute
 	Text     string
 	Children []*Node
 	Parent   *Node
 }
 
-// NewElem returns a childless element node with the given name.
+// NewElem returns a childless element node with the given name. Its
+// Attrs map stays nil until SetAttr adds the first attribute.
 func NewElem(name string) *Node {
-	return &Node{Name: name, Attrs: map[string]string{}}
+	return &Node{Name: name}
 }
 
 // NewText returns an element node carrying text content, a convenience for
@@ -154,8 +154,6 @@ func (n *Node) Clone() *Node {
 		for k, v := range n.Attrs {
 			c.Attrs[k] = v
 		}
-	} else {
-		c.Attrs = map[string]string{}
 	}
 	for _, ch := range n.Children {
 		cc := ch.Clone()
@@ -201,119 +199,4 @@ func Equal(a, b *Node) bool {
 		}
 	}
 	return true
-}
-
-// Parse reads one XML document from r into a Node tree. Character data is
-// concatenated (trimmed) onto the containing element; processing
-// instructions and comments are skipped.
-func Parse(r io.Reader) (*Node, error) {
-	dec := xml.NewDecoder(r)
-	var root, cur *Node
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			n := NewElem(t.Name.Local)
-			for _, a := range t.Attr {
-				n.Attrs[a.Name.Local] = a.Value
-			}
-			if cur == nil {
-				if root != nil {
-					return nil, fmt.Errorf("xmltree: multiple document roots")
-				}
-				root = n
-			} else {
-				cur.Append(n)
-			}
-			cur = n
-		case xml.EndElement:
-			if cur == nil {
-				return nil, fmt.Errorf("xmltree: unbalanced end element %q", t.Name.Local)
-			}
-			cur = cur.Parent
-		case xml.CharData:
-			if cur != nil {
-				cur.Text += strings.TrimSpace(string(t))
-			}
-		}
-	}
-	if root == nil {
-		return nil, fmt.Errorf("xmltree: empty document")
-	}
-	if cur != nil {
-		return nil, fmt.Errorf("xmltree: unclosed element %q", cur.Name)
-	}
-	return root, nil
-}
-
-// ParseString is Parse over a string.
-func ParseString(s string) (*Node, error) {
-	return Parse(strings.NewReader(s))
-}
-
-// Encode serializes the subtree rooted at n as XML to w.
-func (n *Node) Encode(w io.Writer) error {
-	return n.write(w, 0)
-}
-
-func (n *Node) write(w io.Writer, depth int) error {
-	indent := strings.Repeat("  ", depth)
-	keys := make([]string, 0, len(n.Attrs))
-	for k := range n.Attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var attrs strings.Builder
-	for _, k := range keys {
-		attrs.WriteString(fmt.Sprintf(" %s=%q", k, escape(n.Attrs[k])))
-	}
-	if len(n.Children) == 0 && n.Text == "" {
-		_, err := fmt.Fprintf(w, "%s<%s%s/>\n", indent, n.Name, attrs.String())
-		return err
-	}
-	if len(n.Children) == 0 {
-		_, err := fmt.Fprintf(w, "%s<%s%s>%s</%s>\n", indent, n.Name, attrs.String(), escape(n.Text), n.Name)
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s<%s%s>", indent, n.Name, attrs.String()); err != nil {
-		return err
-	}
-	if n.Text != "" {
-		if _, err := io.WriteString(w, escape(n.Text)); err != nil {
-			return err
-		}
-	}
-	if _, err := io.WriteString(w, "\n"); err != nil {
-		return err
-	}
-	for _, c := range n.Children {
-		if err := c.write(w, depth+1); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%s</%s>\n", indent, n.Name)
-	return err
-}
-
-// String returns the XML serialization of the subtree rooted at n.
-func (n *Node) String() string {
-	var b strings.Builder
-	if err := n.Encode(&b); err != nil {
-		return "<!-- serialization error: " + err.Error() + " -->"
-	}
-	return b.String()
-}
-
-func escape(s string) string {
-	var b strings.Builder
-	if err := xml.EscapeText(&b, []byte(s)); err != nil {
-		return s
-	}
-	return b.String()
 }

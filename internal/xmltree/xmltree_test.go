@@ -65,6 +65,29 @@ func TestParseErrors(t *testing.T) {
 		"<a><b></a></b>",
 		"<a></a><b></b>",
 		"<a>",
+		"<a></b>",
+		"</a>",
+		"<a>x</a>y",
+		"<a>&nbsp;</a>",
+		"<a>&amp</a>",
+		"<a>&#0;</a>",
+		"<a>&#xD800;</a>",
+		"<a>&#x110000;</a>",
+		"<a>&#X41;</a>",
+		"<a>\xff</a>",
+		"<a k=\"\xc3\"/>",
+		"<a>\x01</a>",
+		"<a>\uFFFE</a>",
+		"<a>]]></a>",
+		"<a><!-- a -- b --></a>",
+		"<!DOCTYPE a><a/>",
+		"<?xml version=\"1.1\"?><a/>",
+		"<?xml version=\"1.0\" encoding=\"latin1\"?><a/>",
+		"<a x=\"1\" x=\"2\"/>",
+		"<a x=1/>",
+		"<a x=\"<\"/>",
+		"<ns:a/>",
+		"<a/ >",
 	} {
 		if _, err := ParseString(bad); err == nil {
 			t.Errorf("ParseString(%q) should fail", bad)
